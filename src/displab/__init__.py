@@ -21,7 +21,7 @@ from .families import (DispositionalSpec, make_dispositional, make_empty,
                        qary_level_counter, staircase_counter, tree_counter,
                        two_row_counter)
 from .graph import Multidigraph, SimpleDigraph, normalize
-from .nonstrict import nonstrict_bruteforce, nonstrict_count
+from .nonstrict import nonstrict_bruteforce, nonstrict_count, order_polynomial
 from .ode import (Ode2, ab_reduction, catalan_ode, laguerre_basis_decompose,
                   laguerre_equation, laguerrean, laguerrean_reflected,
                   reduce_to_QR, two_row_ode, verify_ode,

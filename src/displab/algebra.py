@@ -8,6 +8,7 @@ package stay below ~60, so sparsity buys nothing).
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -514,6 +515,7 @@ def series_from_counters(values: Sequence) -> TruncatedSeries:
 # Laguerre polynomials
 # ---------------------------------------------------------------------------
 
+_laguerre_lock = threading.Lock()
 _laguerre_cache: list[Polynomial] = [ONE]
 
 
@@ -526,10 +528,11 @@ def laguerre(n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("Laguerre index must be nonnegative")
-    while len(_laguerre_cache) <= n:
-        prev = _laguerre_cache[-1]
-        _laguerre_cache.append(prev - prev.antiderivative(0))
-    return _laguerre_cache[n]
+    with _laguerre_lock:
+        while len(_laguerre_cache) <= n:
+            prev = _laguerre_cache[-1]
+            _laguerre_cache.append(prev - prev.antiderivative(0))
+        return _laguerre_cache[n]
 
 
 def generalized_laguerre(n: int, alpha: int) -> Polynomial:

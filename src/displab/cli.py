@@ -28,8 +28,8 @@ from .errors import DisplabError, ParseError, SizeLimitError
 from .extremal import max_counter_search
 from .families import build_family, staircase_counter
 from .graph import SimpleDigraph, normalize, parse_digraph_json, parse_digraph_text
-from .nonstrict import (nonstrict_count, nonstrict_path_series,
-                        nonstrict_path_series_fixed_size)
+from .nonstrict import (nonstrict_path_series,
+                        nonstrict_path_series_fixed_size, order_polynomial)
 from .ode import Ode2, catalan_ode, laguerre_equation, laguerrean_reflected, two_row_ode
 from .orthogonality import gram, laguerre_inner
 
@@ -198,13 +198,17 @@ def _cmd_nonstrict(args) -> int:
         sources.extend(f"file:{f}" for f in args.file)
     if not sources:
         raise ParseError("at least one --family or --file is required")
+    if args.max_size < 1:
+        raise ParseError(f"--max-size must be at least 1, got {args.max_size}")
     rows = []
     cap = _max_order(args)
     for src in sources:
         d, _ = _load_digraph(src)
         if d.n > cap:
             raise SizeLimitError(f"digraph order {d.n} exceeds --max-order {cap}")
-        rows.append((src, [nonstrict_count(d, i)
+        omega = order_polynomial(d)
+        # Omega is an integer combination of binomials C(i, k)
+        rows.append((src, [int(omega(i))
                            for i in range(1, args.max_size + 1)]))
     if args.format == "json":
         _emit(_json({src: values for src, values in rows}))

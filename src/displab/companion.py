@@ -264,7 +264,6 @@ def two_row_companion_closed(n1: int, n2: int, r: int) -> Polynomial:
 # zigzag (staircase) data
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def staircase_path_counter(n: int, i: int) -> int:
     """f(n, i) = sigma(S_n with a length-i path attached at v1), by the
     halving recurrence
@@ -275,13 +274,22 @@ def staircase_path_counter(n: int, i: int) -> int:
     """
     if n < 0 or i < 0:
         raise ValueError("indices must be nonnegative")
+    # filling the i direction in order finds every f(., i-1) cached, so the
+    # recursion only runs down n
+    for k in range(i):
+        _path_counter(n, k)
+    return _path_counter(n, i)
+
+
+@lru_cache(maxsize=None)
+def _path_counter(n: int, i: int) -> int:
     if n <= 1:
         return 1
     if i == 0:
         return staircase_counter(n)
-    total = staircase_path_counter(n, i - 1)
+    total = _path_counter(n, i - 1)
     for j in range(n):
-        total += (binomial(n + i - 1, i + j) * staircase_path_counter(j, i)
+        total += (binomial(n + i - 1, i + j) * _path_counter(j, i)
                   * staircase_counter(n - 1 - j))
     half, rem = divmod(total, 2)
     if rem:

@@ -1,8 +1,13 @@
 """Non-strict disposition counters: maps into {1..i} weakly decreasing on arcs.
 
 Directed cycles no longer kill the count, they force equality, so the
-counter factors through the strong-component quotient.  After condensing,
-the inclusion-exclusion recurrence over sink subsets computes everything.
+counter factors through the strong-component quotient.  On the quotient
+P the counter is Stanley's order polynomial Omega(P, i), of degree |P| in
+the size i: ``order_polynomial`` computes it once, by an inclusion-
+exclusion recurrence over sink subsets in the binomial basis, and every
+size is a value of it.  Its top coefficient times |P|! is the strict
+counter, and (-1)^|P| Omega(P, -i) counts the strictly decreasing maps
+into {1..i} (reciprocity).  ``nonstrict_bruteforce`` is the oracle.
 """
 
 from __future__ import annotations
@@ -11,9 +16,9 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .algebra import TruncatedSeries, binomial
+from .algebra import ONE, Polynomial, TruncatedSeries, binomial
 from .errors import SizeLimitError
-from .graph import SimpleDigraph, iter_mask
+from .graph import SimpleDigraph, iter_mask, mask_size
 
 BRUTE_FORCE_BUDGET = 10_000_000
 CONDENSED_ORDER_LIMIT = 20
@@ -42,40 +47,41 @@ def nonstrict_bruteforce(d: SimpleDigraph, i: int) -> int:
 
 
 class NonStrictCounter:
-    """Memoized non-strict counters of one acyclic digraph.
+    """Order polynomials of the induced subgraphs of one acyclic digraph.
 
-    ``value(mask, i)`` counts the size-i non-strict dispositions of the
-    subgraph induced by ``mask`` via inclusion-exclusion over nonempty
-    subsets of its sinks (or sources, for the cross-check variant):
+    ``coefficients(mask)`` is the order polynomial of the subgraph induced
+    by ``mask`` in the binomial basis: integers c with
+    Omega_S(i) = sum_k c_k C(i, k).  Inclusion-exclusion over the nonempty
+    subsets T of the sinks of S gives
 
-        sigma_i(S) = sum_{1<=j<=i} sum_{T} (-1)^(|T|+1) sigma_j(S - T).
+        Omega_S(i) = sum_{1<=j<=i} sum_T (-1)^(|T|+1) Omega_{S-T}(j),
 
-    The empty set counts 1 at every size.
+    and the sum over j maps C(j, k) to C(i, k+1) + C(i, k) - [k=0], so each
+    state costs one pass over integer coefficient tuples, whatever the size.
+    The empty set has Omega = 1.
     """
 
-    def __init__(self, d: SimpleDigraph, peel: str = "sinks"):
+    def __init__(self, d: SimpleDigraph):
         if not d.is_acyclic():
             raise ValueError("NonStrictCounter needs an acyclic digraph")
-        self.bound = d.out_masks() if peel == "sinks" else d.in_masks()
-        self.memo: dict[tuple[int, int], int] = {}
+        self.out = d.out_masks()
+        self.memo: dict[int, tuple[int, ...]] = {0: (1,)}
 
-    def value(self, mask: int, i: int) -> int:
-        if mask == 0:
-            return 1
-        if i <= 0:
-            return 0
-        key = (mask, i)
-        got = self.memo.get(key)
+    def coefficients(self, mask: int) -> tuple[int, ...]:
+        got = self.memo.get(mask)
         if got is not None:
             return got
-        extremal = [u for u in iter_mask(mask) if self.bound[u] & mask == 0]
-        total = 0
-        for j in range(1, i + 1):
-            for size, sub in _subsets_with_size(extremal):
-                term = self.value(mask & ~sub, j)
-                total += term if size % 2 == 1 else -term
-        self.memo[key] = total
-        return total
+        sinks = [u for u in iter_mask(mask) if self.out[u] & mask == 0]
+        # diff[k] is the C(j, k) coefficient of the inner sum over T
+        diff = [0] * (mask_size(mask) + 1)
+        for size, sub in _subsets_with_size(sinks):
+            sign = 1 if size % 2 == 1 else -1
+            for k, c in enumerate(self.coefficients(mask & ~sub)):
+                diff[k] += sign * c
+        # Omega_S(0) = 0, and C(i, k+1) collects diff[k] + diff[k+1]
+        result = (0,) + tuple(a + b for a, b in zip(diff, diff[1:]))
+        self.memo[mask] = result
+        return result
 
 
 def _subsets_with_size(vertices: list[int]):
@@ -93,81 +99,45 @@ def _subsets_with_size(vertices: list[int]):
         yield size, sub
 
 
-def nonstrict_count(d: SimpleDigraph, i: int, method: str = "peel",
-                    peel: str = "sinks") -> int:
-    """Non-strict counter of size i for any digraph.
+def order_polynomial(d: SimpleDigraph) -> Polynomial:
+    """Stanley's order polynomial Omega of any digraph: Omega(i) is the
+    non-strict counter of size i for every i >= 0.
 
-    Condenses first (quotient invariance), splits into weak components
-    (the counter is multiplicative at fixed size), then runs either the
-    inclusion-exclusion recurrence ("peel") or the level-set transfer
-    dynamic program ("transfer"); the two agree and the recurrence is the
-    canonical path.
+    Condenses first (quotient invariance); Omega is multiplicative over the
+    weak components of the condensation, and has degree equal to its order.
     """
-    if i < 0:
-        raise ValueError("size must be nonnegative")
     cond = d.condense()
     if cond.n > CONDENSED_ORDER_LIMIT:
         raise SizeLimitError(
             f"condensed order {cond.n} exceeds the cap {CONDENSED_ORDER_LIMIT}")
-    if cond.n == 0:
-        return 1
-    if i == 0:
-        return 0
-    result = 1
+    counter = NonStrictCounter(cond)
+    omega = ONE
     for comp_mask in cond.underlying_components():
-        sub = cond.induced_subgraph(comp_mask)
-        if method == "peel":
-            result *= NonStrictCounter(sub, peel=peel).value(
-                (1 << sub.n) - 1, i)
-        elif method == "transfer":
-            result *= _transfer_count(sub, i)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return result
+        omega *= _from_binomial_basis(counter.coefficients(comp_mask))
+    return omega
 
 
-def _transfer_count(d: SimpleDigraph, i: int) -> int:
-    """Level-set dynamic program: peeling the value-1 vertices leaves an
-    arc-closed (predecessor-closed) subset, so
-
-        sigma_i(S) = sum over predecessor-closed U of S of sigma_{i-1}(U).
-    """
-    out = d.out_masks()
-    memo: dict[tuple[int, int], int] = {}
-
-    def upclosed(mask: int) -> list[int]:
-        subs = []
-        sub = mask
-        while True:
-            if _is_predecessor_closed(sub, mask, out):
-                subs.append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        return subs
-
-    def value(mask: int, j: int) -> int:
-        if mask == 0:
-            return 1
-        if j <= 0:
-            return 0
-        key = (mask, j)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = sum(value(u, j - 1) for u in upclosed(mask))
-        memo[key] = total
-        return total
-
-    return value((1 << d.n) - 1, i)
+def _from_binomial_basis(coeffs: tuple[int, ...]) -> Polynomial:
+    """sum_k c_k C(X, k) in the power basis, in integers until the end."""
+    n = len(coeffs) - 1
+    scaled = [0] * (n + 1)  # n! times the power-basis coefficients
+    falling = [1]  # X(X-1)...(X-k+1), lowest degree first
+    for k, c in enumerate(coeffs):
+        weight = c * (math.factorial(n) // math.factorial(k))
+        for j, f in enumerate(falling):
+            scaled[j] += weight * f
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+    return Polynomial(Fraction(x, math.factorial(n)) for x in scaled)
 
 
-def _is_predecessor_closed(sub: int, mask: int, out: list[int]) -> bool:
-    # u -> v with v in sub and u in mask forces u in sub
-    for u in iter_mask(mask & ~sub):
-        if out[u] & sub:
-            return False
-    return True
+def nonstrict_count(d: SimpleDigraph, i: int) -> int:
+    """Non-strict counter of size i: the order polynomial's value at i."""
+    if i < 0:
+        raise ValueError("size must be nonnegative")
+    value = order_polynomial(d)(i)
+    if value.denominator != 1:
+        raise AssertionError(f"order polynomial gave non-integer {value}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

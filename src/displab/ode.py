@@ -190,7 +190,6 @@ def ab_reduction(n: int) -> tuple[list[RationalFunction], list[RationalFunction]
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    rf_x = RationalFunction(X)
     a = [RationalFunction(ONE)]
     b = [RationalFunction(ZERO)]
     for _ in range(n):

@@ -1,10 +1,14 @@
 """Exact arithmetic layer."""
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from displab import algebra
 from displab.algebra import (Polynomial, RationalFunction, TruncatedSeries,
                              bessel_i_series, binomial, exp_series, factorial,
                              format_rational, generalized_laguerre, laguerre,
@@ -170,6 +174,26 @@ def test_laguerre_satisfies_its_equation():
 def test_generalized_laguerre_alpha_zero():
     for n in range(11):
         assert generalized_laguerre(n, 0) == laguerre(n)
+
+
+def test_laguerre_cache_fill_is_thread_safe(monkeypatch):
+    monkeypatch.setattr(algebra, "_laguerre_cache", [Polynomial((1,))])
+    start = threading.Barrier(4)
+
+    def worker(_):
+        start.wait()
+        return laguerre(40)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(worker, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    cache = algebra._laguerre_cache
+    assert [p.degree for p in cache] == list(range(len(cache)))
+    assert results == [generalized_laguerre(40, 0)] * 4
 
 
 def test_generalized_laguerre_alpha_one_values():

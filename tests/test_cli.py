@@ -163,6 +163,13 @@ def test_nonstrict_table(capsys):
     assert lines[1] == "path:2,1,3,6"
 
 
+def test_nonstrict_max_size_below_one_exits_two(capsys):
+    for size in ("0", "-2"):
+        code, out, err = run(capsys, "nonstrict", "--family", "path:3",
+                             "--max-size", size)
+        assert code == 2 and out == "" and "--max-size" in err, size
+
+
 def test_series(capsys):
     code, out, _ = run(capsys, "series", "--kind", "exp:1", "--order", "3")
     assert code == 0 and out.strip() == "1 1 1/2 1/6"

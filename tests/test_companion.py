@@ -373,6 +373,13 @@ def test_staircase_path_counter_closed_form():
                     == staircase_path_counter_closed(n, i)), (n, i)
 
 
+def test_staircase_path_counter_long_path():
+    # S_3 with an i-vertex path at v1: place v2 among the path below v1,
+    # then v3 anywhere above v2, for C(i+3, 2) - 1 orderings; a path this
+    # long must not deepen the recursion
+    assert staircase_path_counter(3, 1200) == binomial(1203, 2) - 1
+
+
 def test_staircase_companion_matches_recurrence_route():
     for n in range(1, 9):
         assert staircase_companion(n) == companion_by_recurrence(

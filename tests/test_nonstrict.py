@@ -3,11 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from displab.algebra import (binomial, bessel_i_series, exp_series, laguerre,
                              poly_to_series)
+from displab.counting import count
 from displab.errors import SizeLimitError
 from displab.families import make_empty, make_path, make_two_row
 from displab.graph import SimpleDigraph
@@ -15,7 +17,7 @@ from displab.nonstrict import (nonstrict_bruteforce, nonstrict_count,
                                nonstrict_empty, nonstrict_path,
                                nonstrict_path_series,
                                nonstrict_path_series_fixed_size,
-                               nonstrict_two_row)
+                               nonstrict_two_row, order_polynomial)
 from helpers import random_simple_digraph
 
 
@@ -86,22 +88,35 @@ def test_monotone_in_size():
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-def test_source_peel_variant_agrees():
+def test_order_polynomial_top_coefficient_is_strict_count():
     rng = random.Random(75)
-    for _ in range(40):
-        d = random_simple_digraph(rng, rng.randint(1, 5))
-        i = rng.randint(1, 4)
-        assert (nonstrict_count(d, i, peel="sinks")
-                == nonstrict_count(d, i, peel="sources"))
+    for _ in range(60):
+        d = random_simple_digraph(rng, rng.randint(0, 7))
+        cond = d.condense()
+        omega = order_polynomial(d)
+        assert omega.degree == cond.n
+        assert math.factorial(cond.n) * omega.leading() == count(cond), d
 
 
-def test_transfer_method_agrees():
+def _strict_bruteforce(d, i):
+    """Maps into {1..i} strictly decreasing along every arc."""
+    return sum(all(f[u] > f[v] for u, v in d.arcs)
+               for f in product(range(1, i + 1), repeat=d.n))
+
+
+def test_order_polynomial_reciprocity():
     rng = random.Random(76)
-    for _ in range(40):
-        d = random_simple_digraph(rng, rng.randint(1, 5))
-        i = rng.randint(1, 4)
-        assert (nonstrict_count(d, i, method="transfer")
-                == nonstrict_count(d, i))
+    for _ in range(60):
+        d = random_simple_digraph(rng, rng.randint(0, 5))
+        cond = d.condense()
+        omega = order_polynomial(d)
+        for i in range(5):
+            assert ((-1) ** cond.n * omega(-i)
+                    == _strict_bruteforce(cond, i)), (d, i)
+
+
+def test_order_polynomial_at_large_size():
+    assert nonstrict_count(make_path(20), 10**6) == nonstrict_path(20, 10**6)
 
 
 def test_loops_do_not_zero_nonstrict():
