@@ -29,9 +29,19 @@ from .ode import laguerre_basis_decompose
 
 def counters_along_path(d: SimpleDigraph, v: int, horizon: int,
                         reverse: bool = False) -> list[int]:
-    """[sigma(d with a length-i path attached at v) for i = 0..horizon]."""
-    return [count(d.attach_path(v, i, reverse=reverse))
-            for i in range(horizon + 1)]
+    """[sigma(d with a length-i path attached at v) for i = 0..horizon].
+
+    The digraph with a length-i path is the subgraph of the one with the
+    full horizon induced on its first n + i vertices, so one table serves
+    every i.
+    """
+    g = d.attach_path(v, horizon, reverse=reverse)
+    if g.had_loop:
+        return [0] * (horizon + 1)
+    table = CounterTable(g)
+    if not g.is_acyclic():
+        return [0] * (horizon + 1)
+    return [table._count(full_mask(d.n + i)) for i in range(horizon + 1)]
 
 
 def counter_minus_one(d: SimpleDigraph, v: int) -> int:

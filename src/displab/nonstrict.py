@@ -3,9 +3,11 @@
 Directed cycles no longer kill the count, they force equality, so the
 counter factors through the strong-component quotient.  On the quotient
 P the counter is Stanley's order polynomial Omega(P, i), of degree |P| in
-the size i: ``order_polynomial`` computes it once, by an inclusion-
-exclusion recurrence over sink subsets in the binomial basis, and every
-size is a value of it.  Its top coefficient times |P|! is the strict
+the size i: ``order_polynomial`` computes it once, in the binomial basis,
+by the subset recursion of the strict counter (weak components split at
+every state, peel side chosen per call, the same state cap) with an
+inclusion-exclusion over peelable subsets in place of single peels, and
+every size is a value of it.  Its top coefficient times |P|! is the strict
 counter, and (-1)^|P| Omega(P, -i) counts the strictly decreasing maps
 into {1..i} (reciprocity).  ``nonstrict_bruteforce`` is the oracle.
 """
@@ -16,9 +18,10 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .algebra import ONE, Polynomial, TruncatedSeries, binomial
+from .algebra import Polynomial, TruncatedSeries, binomial
+from .counting import _PeelTable
 from .errors import SizeLimitError
-from .graph import SimpleDigraph, iter_mask, mask_size
+from .graph import SimpleDigraph, full_mask, iter_mask, mask_size
 
 BRUTE_FORCE_BUDGET = 10_000_000
 CONDENSED_ORDER_LIMIT = 20
@@ -46,35 +49,47 @@ def nonstrict_bruteforce(d: SimpleDigraph, i: int) -> int:
     return total
 
 
-class NonStrictCounter:
+class NonStrictCounter(_PeelTable):
     """Order polynomials of the induced subgraphs of one acyclic digraph.
 
     ``coefficients(mask)`` is the order polynomial of the subgraph induced
     by ``mask`` in the binomial basis: integers c with
-    Omega_S(i) = sum_k c_k C(i, k).  Inclusion-exclusion over the nonempty
-    subsets T of the sinks of S gives
+    Omega_S(i) = sum_k c_k C(i, k).  A disconnected S is the product of
+    its weak components.  For a connected S, inclusion-exclusion over the
+    nonempty subsets T of the sinks of S gives
 
         Omega_S(i) = sum_{1<=j<=i} sum_T (-1)^(|T|+1) Omega_{S-T}(j),
 
     and the sum over j maps C(j, k) to C(i, k+1) + C(i, k) - [k=0], so each
     state costs one pass over integer coefficient tuples, whatever the size.
+    Omega_S is also the order polynomial of the reversal of S, so the same
+    recurrence over sources gives the same values, and ``order_polynomial``
+    picks the side per call as ``count`` does, under the same state cap.
     The empty set has Omega = 1.
     """
 
     def __init__(self, d: SimpleDigraph):
         if not d.is_acyclic():
             raise ValueError("NonStrictCounter needs an acyclic digraph")
-        self.out = d.out_masks()
+        super().__init__(d)
         self.memo: dict[int, tuple[int, ...]] = {0: (1,)}
 
     def coefficients(self, mask: int) -> tuple[int, ...]:
         got = self.memo.get(mask)
         if got is not None:
             return got
-        sinks = [u for u in iter_mask(mask) if self.out[u] & mask == 0]
+        comps = self._components(mask)
+        if len(comps) > 1:
+            result = (1,)
+            for c in comps:
+                result = _binomial_basis_product(result, self.coefficients(c))
+            return result
+        self._spend()
+        blocked = self._blocked
+        peelable = [u for u in iter_mask(mask) if blocked[u] & mask == 0]
         # diff[k] is the C(j, k) coefficient of the inner sum over T
         diff = [0] * (mask_size(mask) + 1)
-        for size, sub in _subsets_with_size(sinks):
+        for size, sub in _subsets_with_size(peelable):
             sign = 1 if size % 2 == 1 else -1
             for k, c in enumerate(self.coefficients(mask & ~sub)):
                 diff[k] += sign * c
@@ -82,6 +97,21 @@ class NonStrictCounter:
         result = (0,) + tuple(a + b for a, b in zip(diff, diff[1:]))
         self.memo[mask] = result
         return result
+
+
+def _binomial_basis_product(p: tuple[int, ...],
+                            q: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two polynomials given in the binomial basis, by
+
+        C(X, a) C(X, b) = sum_{max(a,b) <= k <= a+b} C(k, a) C(a, k-b) C(X, k).
+    """
+    out = [0] * (len(p) + len(q) - 1)
+    for a, pa in enumerate(p):
+        for b, qb in enumerate(q):
+            if pa and qb:
+                for k in range(max(a, b), a + b + 1):
+                    out[k] += pa * qb * math.comb(k, a) * math.comb(a, k - b)
+    return tuple(out)
 
 
 def _subsets_with_size(vertices: list[int]):
@@ -103,18 +133,16 @@ def order_polynomial(d: SimpleDigraph) -> Polynomial:
     """Stanley's order polynomial Omega of any digraph: Omega(i) is the
     non-strict counter of size i for every i >= 0.
 
-    Condenses first (quotient invariance); Omega is multiplicative over the
-    weak components of the condensation, and has degree equal to its order.
+    Condenses first (quotient invariance); Omega has degree equal to the
+    order of the condensation.
     """
     cond = d.condense()
     if cond.n > CONDENSED_ORDER_LIMIT:
         raise SizeLimitError(
             f"condensed order {cond.n} exceeds the cap {CONDENSED_ORDER_LIMIT}")
     counter = NonStrictCounter(cond)
-    omega = ONE
-    for comp_mask in cond.underlying_components():
-        omega *= _from_binomial_basis(counter.coefficients(comp_mask))
-    return omega
+    return _from_binomial_basis(
+        counter._either_side(counter.coefficients, full_mask(cond.n)))
 
 
 def _from_binomial_basis(coeffs: tuple[int, ...]) -> Polynomial:

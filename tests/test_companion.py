@@ -23,8 +23,9 @@ from displab.counting import count, count_bruteforce
 from displab.families import (make_empty, make_path, make_rooted_tree,
                               make_staircase, make_two_row, staircase_counter,
                               two_row_counter)
-from displab.graph import SimpleDigraph
-from helpers import random_acyclic_digraph, random_tree_parents
+from displab.graph import Multidigraph, SimpleDigraph, normalize
+from helpers import (random_acyclic_digraph, random_simple_digraph,
+                     random_tree_parents)
 
 from displab import golden
 
@@ -51,6 +52,21 @@ def test_counters_along_path_staircase2():
     d = make_staircase(2)
     assert counters_along_path(d, 0, 1)[1] == 2
     assert count_bruteforce(d.attach_path(0, 1)) == 2
+
+
+def test_counters_along_path_match_separate_counts():
+    rng = random.Random(41)
+    for k in range(40):
+        n = rng.randint(1, 7)
+        d = random_simple_digraph(rng, n)
+        if k % 4 == 0:
+            loop = rng.randrange(n)
+            d = normalize(Multidigraph(n, sorted(d.arcs) + [(loop, loop)]))
+        v = rng.randrange(n)
+        reverse = k % 2 == 1
+        assert counters_along_path(d, v, 2 * n, reverse=reverse) == [
+            count(d.attach_path(v, i, reverse=reverse))
+            for i in range(2 * n + 1)]
 
 
 def test_counter_minus_one_convention():

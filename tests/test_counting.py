@@ -1,23 +1,29 @@
 """Strict counters against the brute-force oracle and each other."""
 
+import json
+import math
 import random
 from itertools import permutations
 
 import pytest
 
 from displab.algebra import multinomial
+from displab import counting
+from displab.cli import main
 from displab.counting import (CounterTable, count, count_bruteforce,
                               enumerate_dispositions)
 from displab.errors import CapExceededError, SizeLimitError
 from displab.families import (make_empty, make_path, make_staircase, make_star,
-                              make_two_row)
+                              make_two_row, staircase_counter)
 from displab.graph import SimpleDigraph, full_mask, iter_mask, mask_size, normalize, Multidigraph
-from helpers import all_digraphs, random_simple_digraph
+from helpers import (all_digraphs, random_acyclic_digraph,
+                     random_simple_digraph)
 
 
-def count_by_source_peeling(d):
-    """Test-only mirror of the counter: peel sources instead of sinks."""
-    inc = d.in_masks()
+def count_by_peeling(d, sources=False):
+    """Test-only oracle: the plain one-sided peel recursion, memoized on
+    every subset it reaches, with no component split and no state budget."""
+    blocked = d.in_masks() if sources else d.out_masks()
     memo = {0: 1}
 
     def sigma(mask):
@@ -25,12 +31,19 @@ def count_by_source_peeling(d):
             return memo[mask]
         total = 0
         for v in iter_mask(mask):
-            if inc[v] & mask == 0:
+            if blocked[v] & mask == 0:
                 total += sigma(mask & ~(1 << v))
         memo[mask] = total
         return total
 
     return sigma(full_mask(d.n))
+
+
+def peeled_table(d):
+    """The table ``count`` fills for an acyclic d."""
+    table = CounterTable(d)
+    table._count(full_mask(d.n))
+    return table
 
 
 def test_bruteforce_examples():
@@ -174,7 +187,7 @@ def test_sink_vs_source_recursion():
     rng = random.Random(23)
     for _ in range(60):
         d = random_simple_digraph(rng, rng.randint(1, 7))
-        assert count_by_source_peeling(d) == CounterTable(d).sigma(
+        assert count_by_peeling(d, sources=True) == CounterTable(d).sigma(
             full_mask(d.n))
 
 
@@ -207,3 +220,54 @@ def test_dispositions_definition_bruteforce_cross():
             perm for perm in permutations(range(1, d.n + 1))
             if all(perm[u] > perm[v] for u, v in d.arcs))
         assert enumerate_dispositions(d) == direct
+
+
+def test_kernel_matches_plain_sink_peeling():
+    rng = random.Random(31)
+    for _ in range(20):
+        d = random_acyclic_digraph(rng, rng.randint(15, 22),
+                                   rng.choice((0.1, 0.2, 0.35)))
+        assert count(d) == count_by_peeling(d), d
+
+
+def test_kernel_matches_bruteforce_with_cycles_and_loops():
+    rng = random.Random(32)
+    for k in range(60):
+        n = 9 if k % 30 == 0 else rng.randint(1, 8)
+        if k % 3 == 0:
+            d = random_acyclic_digraph(rng, n)
+        else:
+            d = random_simple_digraph(rng, n)
+        if k % 3 == 2:
+            loop = rng.randrange(n)
+            d = normalize(Multidigraph(n, sorted(d.arcs) + [(loop, loop)]))
+        assert count(d) == count_bruteforce(d), d
+
+
+def test_stars_of_forty_in_both_orientations():
+    assert count(make_star(40)) == math.factorial(39)
+    assert count(make_star(40, center_out=False)) == math.factorial(39)
+
+
+def test_staircase_of_forty_is_zigzag_number():
+    assert count(make_staircase(40)) == staircase_counter(40)
+
+
+def test_memo_states_stay_below_order_squared():
+    for d in (make_star(17), make_star(17, center_out=False),
+              make_staircase(22)):
+        assert len(peeled_table(d).memo) <= d.n ** 2
+
+
+def test_state_cap_refuses(tmp_path, capsys, monkeypatch):
+    d = random_acyclic_digraph(random.Random(33), 30, 0.2)
+    assert len(peeled_table(d).memo) > 64
+    monkeypatch.setattr(counting, "STATE_LIMIT", 16)
+    with pytest.raises(SizeLimitError):
+        count(d)
+    path = tmp_path / "dag.json"
+    path.write_text(json.dumps(d.to_json()))
+    code = main(["count", "--file", str(path), "--max-order", "30"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("error:")

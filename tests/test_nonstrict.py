@@ -9,16 +9,17 @@ import pytest
 
 from displab.algebra import (binomial, bessel_i_series, exp_series, laguerre,
                              poly_to_series)
+from displab import counting
 from displab.counting import count
 from displab.errors import SizeLimitError
-from displab.families import make_empty, make_path, make_two_row
+from displab.families import make_empty, make_path, make_star, make_two_row
 from displab.graph import SimpleDigraph
 from displab.nonstrict import (nonstrict_bruteforce, nonstrict_count,
                                nonstrict_empty, nonstrict_path,
                                nonstrict_path_series,
                                nonstrict_path_series_fixed_size,
                                nonstrict_two_row, order_polynomial)
-from helpers import random_simple_digraph
+from helpers import random_acyclic_digraph, random_simple_digraph
 
 
 def test_bruteforce_examples():
@@ -130,6 +131,21 @@ def test_loops_do_not_zero_nonstrict():
 def test_condensed_size_cap():
     with pytest.raises(SizeLimitError):
         nonstrict_count(make_path(21), 2)
+
+
+def test_order_polynomial_of_stars():
+    # given the center's value, the 19 leaves choose theirs independently
+    for center_out in (True, False):
+        omega = order_polynomial(make_star(20, center_out=center_out))
+        for i in (1, 2, 3, 7, 30):
+            assert omega(i) == sum(j**19 for j in range(1, i + 1))
+
+
+def test_state_cap_refuses(monkeypatch):
+    d = random_acyclic_digraph(random.Random(34), 20, 0.15)
+    monkeypatch.setattr(counting, "STATE_LIMIT", 16)
+    with pytest.raises(SizeLimitError):
+        order_polynomial(d)
 
 
 # -- closed forms -------------------------------------------------------------
