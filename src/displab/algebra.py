@@ -224,7 +224,7 @@ class Polynomial:
         """Monic-free gcd: returns the primitive, positive-leading gcd."""
         a, b = self, other
         while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
+            a, b = b, a.divmod(b)[1].content_normalized()
         if a.is_zero():
             return a
         return a.content_normalized()

@@ -27,7 +27,8 @@ from .counting import count, enumerate_dispositions
 from .errors import DisplabError, ParseError, SizeLimitError
 from .extremal import max_counter_search
 from .families import build_family, staircase_counter
-from .graph import SimpleDigraph, normalize, parse_digraph_json, parse_digraph_text
+from .graph import (SimpleDigraph, check_mask_limit, normalize,
+                    parse_digraph_json, parse_digraph_text)
 from .nonstrict import (nonstrict_path_series,
                         nonstrict_path_series_fixed_size, order_polynomial)
 from .ode import Ode2, catalan_ode, laguerre_equation, laguerrean_reflected, two_row_ode
@@ -162,6 +163,8 @@ def _cmd_ode(args) -> int:
             raise ParseError(f"bad --tworow {args.tworow!r}") from exc
         ode = two_row_ode(n1, n2, args.r)
     elif args.staircase is not None:
+        # n is the order of the zigzag digraph: the counters' hard vertex cap
+        check_mask_limit(args.staircase, "ode --staircase")
         ode = laguerrean_reflected(staircase_companion(args.staircase))
     else:
         ode = laguerre_equation(args.laguerre)

@@ -4,18 +4,19 @@ The central construction: any degree-n polynomial P decomposes uniquely
 against the basis X^i d^i L_n(X) (the coefficient matrix is triangular with
 nonzero diagonal), which yields polynomials Q, R with
 P = Q L_n + R L_n'.  Repeated differentiation inside the rank-2 module
-spanned by (L_n, L_n') over rational functions, using
-L_n'' = (-n/X) L_n + ((X-1)/X) L_n', expresses P, P', P'' in module
-coordinates, and eliminating L_n, L_n' by 2x2 minors produces an ODE
-U Y'' + V Y' + W Y = 0 satisfied by P.
+spanned by (L_n, L_n'), using X L_n'' = -n L_n + (X - 1) L_n', expresses
+P, P', P'' in module coordinates.  Every denominator there is a power of
+X, so a coordinate pair is carried as two polynomials (a, b) over X^k and
+no rational function is ever normalized.  Eliminating L_n, L_n' by 2x2
+minors produces an ODE U Y'' + V Y' + W Y = 0 satisfied by P.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (ONE, Polynomial, RationalFunction, TruncatedSeries, X,
-                      ZERO, laguerre, monomial, pochhammer, poly_to_series)
+from .algebra import (ONE, Polynomial, TruncatedSeries, X, ZERO, laguerre,
+                      monomial, pochhammer, poly_to_series)
 
 
 # ---------------------------------------------------------------------------
@@ -180,30 +181,39 @@ def laguerre_basis_decompose(p: Polynomial, n: int | None = None) -> tuple[Fract
     return tuple(coeffs)
 
 
-def ab_reduction(n: int) -> tuple[list[RationalFunction], list[RationalFunction]]:
-    """Rational functions with d^i L_n = A[i] L_n + B[i] L_n'.
+def _step(a: Polynomial, b: Polynomial, k: int,
+          n: int) -> tuple[Polynomial, Polynomial]:
+    """d/dX inside the (L_n, L_n') module, on scaled coordinates.
 
-    Seeded by A[0] = 1, B[0] = 0 and advanced with
-    A_i = A_{i-1}' - (n/X) B_{i-1},
-    B_i = A_{i-1} + B_{i-1}' + ((X-1)/X) B_{i-1};
-    denominators divide X^(n-1).
+    (a L_n + b L_n') / X^k has derivative (a+ L_n + b+ L_n') / X^(k+1)
+    with a+ = X a' - k a - n b and b+ = X a + X b' + (X - 1 - k) b.
+    """
+    return (X * a.derivative() - k * a - n * b,
+            X * a + X * b.derivative() + Polynomial((-1 - k, 1)) * b)
+
+
+def ab_reduction(n: int) -> tuple[list[Polynomial], list[Polynomial]]:
+    """Polynomials with X^i d^i L_n = a[i] L_n + b[i] L_n' for i = 0..n.
+
+    Seeded by a[0] = 1, b[0] = 0; each step is one module derivative, so
+    a[i] = X^i A_i and b[i] = X^i B_i for the rational functions with
+    d^i L_n = A_i L_n + B_i L_n'.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    a = [RationalFunction(ONE)]
-    b = [RationalFunction(ZERO)]
-    for _ in range(n):
-        prev_a, prev_b = a[-1], b[-1]
-        a.append(prev_a.derivative() - RationalFunction(Polynomial((n,)), X) * prev_b)
-        b.append(prev_a + prev_b.derivative()
-                 + RationalFunction(Polynomial((-1, 1)), X) * prev_b)
+    a, b = [ONE], [ZERO]
+    for i in range(n):
+        next_a, next_b = _step(a[-1], b[-1], i, n)
+        a.append(next_a)
+        b.append(next_b)
     return a, b
 
 
 def reduce_to_QR(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Polynomials (Q, R) with p = Q L_n + R L_n', n = deg p.
 
-    X^i A[i] has degree i-1 and X^i B[i] degree i, so deg Q <= n-1 (for
+    With p = sum c_i X^i d^i L_n, Q = sum c_i a[i] and R = sum c_i b[i].
+    For i >= 1, deg a[i] <= i-1 and deg b[i] <= i, so deg Q <= n-1 (for
     n >= 1) and deg R <= n.
     """
     n = p.degree
@@ -211,65 +221,41 @@ def reduce_to_QR(p: Polynomial) -> tuple[Polynomial, Polynomial]:
         raise ValueError("cannot reduce the zero polynomial")
     coeffs = laguerre_basis_decompose(p, n)
     a, b = ab_reduction(n)
-    q = RationalFunction(ZERO)
-    r = RationalFunction(ZERO)
-    for i, c in enumerate(coeffs):
+    q = r = ZERO
+    for c, a_i, b_i in zip(coeffs, a, b):
         if c:
-            xi = RationalFunction(monomial(i))
-            q = q + c * xi * a[i]
-            r = r + c * xi * b[i]
-    return q.as_polynomial(), r.as_polynomial()
+            q = q + c * a_i
+            r = r + c * b_i
+    return q, r
 
 
 # ---------------------------------------------------------------------------
 # the laguerrean of a polynomial
 # ---------------------------------------------------------------------------
 
-def _module_derivative(coords: tuple[RationalFunction, RationalFunction],
-                       n: int) -> tuple[RationalFunction, RationalFunction]:
-    """d/dX inside the (L_n, L_n') module: uses the L'' reduction."""
-    a, b = coords
-    n_over_x = RationalFunction(Polynomial((n,)), X)
-    xm1_over_x = RationalFunction(Polynomial((-1, 1)), X)
-    return (a.derivative() - n_over_x * b,
-            a + b.derivative() + xm1_over_x * b)
-
-
-def _clear_denominators(u: RationalFunction, v: RationalFunction,
-                        w: RationalFunction) -> tuple[Polynomial, Polynomial, Polynomial]:
-    lcm = ONE
-    for rf in (u, v, w):
-        g = lcm.gcd(rf.den)
-        lcm = lcm.divmod(g)[0] * rf.den
-    return tuple((rf * RationalFunction(lcm)).as_polynomial()
-                 for rf in (u, v, w))
-
-
 def laguerrean(p: Polynomial) -> Ode2:
     """The ODE obtained by eliminating L_n, L_n' from p, p', p''.
 
-    p maps to module coordinates (Q, R); two module derivatives give the
-    coordinates of p' and p''; the 2x2 minors of the stacked coordinates
-    are the (U, V, W) triple.  For p = L_n this is Laguerre's equation.
+    p has module coordinates (Q, R); two module derivatives give p' and
+    p'' as (a1, b1) / X and (a2, b2) / X^2.  The 2x2 minors of the stacked
+    coordinates, scaled by X^3 to polynomials, are the (U, V, W) triple.
+    For p = L_n this is Laguerre's equation.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no laguerrean")
     n = p.degree
-    q, r = reduce_to_QR(p)
-    c0 = (RationalFunction(q), RationalFunction(r))
-    c1 = _module_derivative(c0, n)
-    c2 = _module_derivative(c1, n)
-    (a0, b0), (a1, b1), (a2, b2) = c0, c1, c2
-    u = a1 * b0 - a0 * b1
-    v = a0 * b2 - a2 * b0
+    a0, b0 = reduce_to_QR(p)
+    a1, b1 = _step(a0, b0, 0, n)
+    a2, b2 = _step(a1, b1, 1, n)
+    u = X * X * (a1 * b0 - a0 * b1)
+    v = X * (a0 * b2 - a2 * b0)
     w = a2 * b1 - a1 * b2
     if u.is_zero() and v.is_zero() and w.is_zero():
         # p, p', p'' are module-proportional; one derivative suffices
-        u = RationalFunction(ZERO)
-        v, w = a0, -a1
+        v, w = X * a0, -a1
         if v.is_zero() and w.is_zero():
-            v, w = b0, -b1
-    ode = Ode2(*_clear_denominators(u, v, w))
+            v, w = X * b0, -b1
+    ode = Ode2(u, v, w)
     if not verify_ode(ode, p):
         raise AssertionError("elimination produced an equation p fails")
     return ode

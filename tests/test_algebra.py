@@ -99,6 +99,21 @@ def test_divmod_and_gcd():
         assert common.divmod(g.content_normalized())[1].is_zero()
 
 
+def test_gcd_matches_plain_euclid():
+    def plain_gcd(a, b):
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        return a.content_normalized()
+
+    rng = random.Random(5)
+    for _ in range(40):
+        g = rand_poly(rng, 3, zero_ok=False)
+        p = rand_poly(rng, 6) * g
+        q = rand_poly(rng, 6) * g
+        assert p.gcd(q) == plain_gcd(p, q), (p, q)
+    assert Polynomial().gcd(Polynomial()).is_zero()
+
+
 def test_reduced_rationals_after_arithmetic():
     rng = random.Random(3)
     for _ in range(60):

@@ -145,6 +145,11 @@ def test_ode_bad_parameters_exit_two(capsys):
         assert code == 2 and err, argv
 
 
+def test_ode_staircase_above_vertex_cap_exits_one(capsys):
+    code, out, err = run(capsys, "ode", "--staircase", "64")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_gram_csv(capsys):
     code, out, _ = run(capsys, "gram", "--catalan", "3")
     assert code == 0

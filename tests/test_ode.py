@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from displab.algebra import (Polynomial, RationalFunction, X, laguerre,
-                             monomial, exp_series, bessel_i_series,
-                             poly_to_series)
+from displab.algebra import (Polynomial, X, laguerre, monomial, exp_series,
+                             bessel_i_series, poly_to_series)
 from displab.companion import (catalan_polynomial, catalan_polynomial_r3,
                                staircase_companion, two_row_companion)
 from displab.families import make_empty
@@ -124,33 +123,31 @@ def test_decompose_rejects_zero():
 
 def test_ab_first_steps():
     a, b = ab_reduction(4)
-    assert a[0] == RationalFunction(Polynomial((1,)))
-    assert b[0] == RationalFunction(Polynomial(()))
-    assert a[1].is_zero() and b[1] == RationalFunction(Polynomial((1,)))
-    assert a[2] == RationalFunction(Polynomial((-4,)), X)
-    assert b[2] == RationalFunction(Polynomial((-1, 1)), X)
+    assert a[0] == Polynomial((1,)) and b[0].is_zero()
+    assert a[1].is_zero() and b[1] == X
+    assert a[2] == Polynomial((0, -4))
+    assert b[2] == Polynomial((0, -1, 1))
 
 
 def test_ab_reconstruction_exact():
-    for n in (3, 4, 5):
+    for n in range(3, 9):
         a, b = ab_reduction(n)
         lag = laguerre(n)
         deriv = lag
         for i in range(n + 1):
-            lhs = RationalFunction(deriv)
-            rhs = a[i] * RationalFunction(lag) + b[i] * RationalFunction(
-                lag.derivative())
-            assert lhs == rhs, (n, i)
+            assert monomial(i) * deriv == a[i] * lag + b[i] * lag.derivative(), (n, i)
             deriv = deriv.derivative()
 
 
 def test_ab_denominators_divide_power_of_x():
-    for n in (2, 4, 6):
+    """a[i] = X^i A_i is a polynomial, so X^i clears A_i's denominator;
+    the degree bounds are the ones reduce_to_QR relies on."""
+    for n in (2, 4, 6, 9):
         a, b = ab_reduction(n)
-        cap = monomial(n - 1)
-        for rf in list(a) + list(b):
-            assert cap.divmod(rf.den)[1].is_zero() or rf.den.degree == 0
-            assert rf.den.degree <= n - 1
+        assert len(a) == len(b) == n + 1
+        assert a[0] == Polynomial((1,)) and b[0].is_zero()
+        for i in range(1, n + 1):
+            assert a[i].degree <= i - 1 and b[i].degree <= i, (n, i)
 
 
 # -- Q/R reduction ----------------------------------------------------------------
@@ -244,6 +241,19 @@ def test_elimination_matches_expanded_formula_small_degrees():
     for p in cases:
         if p.degree < 1:
             continue
+        assert laguerrean(p) == _qr_equation_expanded(p), p.to_json()
+
+
+def test_elimination_matches_expanded_formula_larger_degrees():
+    rng = random.Random(56)
+    cases = [staircase_companion(k).compose_neg() for k in range(2, 18)]
+    cases += [rand_poly(rng, 10) for _ in range(15)]
+    for p in cases:
+        if p.degree < 1:
+            continue
+        lag = laguerre(p.degree)
+        q, r = reduce_to_QR(p)
+        assert q * lag + r * lag.derivative() == p
         assert laguerrean(p) == _qr_equation_expanded(p), p.to_json()
 
 
