@@ -15,42 +15,37 @@ import os
 import sys
 from pathlib import Path
 
-from . import golden
-from .algebra import (Polynomial, bessel_i_series, exp_series,
-                      format_rational, laguerre)
-from .companion import (companion_by_recurrence, companion_from_counters,
-                        CompanionResult, catalan_polynomial,
-                        catalan_polynomial_r3, counters_along_path,
-                        generalized_zigzag, staircase_companion,
-                        two_row_companion)
-from .counting import count, enumerate_dispositions
 from .errors import DisplabError, ParseError, SizeLimitError
-from .extremal import max_counter_search
-from .families import build_family, staircase_counter
-from .graph import (SimpleDigraph, check_mask_limit, normalize,
-                    parse_digraph_json, parse_digraph_text)
-from .nonstrict import (nonstrict_path_series,
-                        nonstrict_path_series_fixed_size, order_polynomial)
-from .ode import Ode2, catalan_ode, laguerre_equation, laguerrean_reflected, two_row_ode
-from .orthogonality import gram, laguerre_inner
 
 DEFAULT_MAX_ORDER = 20
 
 
+def _at_least(value: int, least: int, option: str) -> None:
+    if value < least:
+        raise ParseError(f"{option} must be at least {least}, got {value}")
+
+
 def _max_order(args) -> int:
-    if getattr(args, "max_order", None):
-        return args.max_order
-    env = os.environ.get("DISPLAB_MAX_ORDER")
-    if env:
+    cap = getattr(args, "max_order", None)
+    source = "--max-order"
+    if cap is None:
+        env = os.environ.get("DISPLAB_MAX_ORDER")
+        if not env:
+            return DEFAULT_MAX_ORDER
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise ParseError(f"bad DISPLAB_MAX_ORDER value {env!r}") from exc
-    return DEFAULT_MAX_ORDER
+        source = "DISPLAB_MAX_ORDER"
+    _at_least(cap, 0, source)
+    return cap
 
 
 def _load_digraph(source: str) -> tuple[SimpleDigraph, dict[str, int]]:
     """Resolve a --family string or --file path into a digraph plus labels."""
+    from .families import build_family
+    from .graph import normalize, parse_digraph_json, parse_digraph_text
+
     kind, _, rest = source.partition(":")
     if kind == "file":
         path = Path(rest)
@@ -111,6 +106,8 @@ def _json(data) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
+    from .counting import count
+
     d, _, _ = _digraph_from_args(args)
     value = count(d)
     if args.format == "json":
@@ -121,6 +118,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_dispositions(args) -> int:
+    from .counting import enumerate_dispositions
+
     d, _, _ = _digraph_from_args(args)
     dispositions = enumerate_dispositions(d, cap=args.cap)
     if args.format == "json":
@@ -133,6 +132,9 @@ def _cmd_dispositions(args) -> int:
 
 
 def _cmd_companion(args) -> int:
+    from .companion import (CompanionResult, companion_by_recurrence,
+                            companion_from_counters, counters_along_path)
+
     d, labels, _ = _digraph_from_args(args)
     v = _resolve_vertex(args.vertex, labels, d.n)
     if args.route == "recurrence":
@@ -149,6 +151,11 @@ def _cmd_companion(args) -> int:
 
 
 def _cmd_ode(args) -> int:
+    from .companion import staircase_companion
+    from .graph import check_mask_limit
+    from .ode import (catalan_ode, laguerre_equation, laguerrean_reflected,
+                      two_row_ode)
+
     chosen = [x for x in (args.catalan, args.tworow, args.staircase,
                           args.laguerre) if x is not None]
     if len(chosen) != 1:
@@ -167,6 +174,7 @@ def _cmd_ode(args) -> int:
         check_mask_limit(args.staircase, "ode --staircase")
         ode = laguerrean_reflected(staircase_companion(args.staircase))
     else:
+        _at_least(args.laguerre, 0, "--laguerre")
         ode = laguerre_equation(args.laguerre)
     if args.format == "json":
         _emit(_json(ode.to_json()))
@@ -176,13 +184,19 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    from .algebra import format_rational, laguerre
+    from .companion import catalan_polynomial
+    from .orthogonality import gram
+
     if (args.catalan is None) == (args.laguerre is None):
         raise ParseError("give exactly one of --catalan or --laguerre")
     if args.catalan is not None:
+        _at_least(args.catalan, 1, "--catalan")
         polys = [catalan_polynomial(k) for k in range(1, args.catalan + 1)]
         labels = [f"C{k}" for k in range(1, args.catalan + 1)]
         matrix = gram(polys, flip_sign=True, labels=labels)
     else:
+        _at_least(args.laguerre, 1, "--laguerre")
         polys = [laguerre(k) for k in range(args.laguerre)]
         labels = [f"L{k}" for k in range(args.laguerre)]
         matrix = gram(polys, labels=labels)
@@ -196,13 +210,14 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_nonstrict(args) -> int:
+    from .nonstrict import order_polynomial
+
     sources = args.family or []
     if args.file:
         sources.extend(f"file:{f}" for f in args.file)
     if not sources:
         raise ParseError("at least one --family or --file is required")
-    if args.max_size < 1:
-        raise ParseError(f"--max-size must be at least 1, got {args.max_size}")
+    _at_least(args.max_size, 1, "--max-size")
     rows = []
     cap = _max_order(args)
     for src in sources:
@@ -225,6 +240,10 @@ def _cmd_nonstrict(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .algebra import bessel_i_series, exp_series, format_rational
+    from .nonstrict import (nonstrict_path_series,
+                            nonstrict_path_series_fixed_size)
+
     kind, _, rest = args.kind.partition(":")
     try:
         if kind == "nspaths":
@@ -249,12 +268,16 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from .extremal import max_counter_search
+
     report = max_counter_search(args.order, parallel=args.parallel)
     _emit(_json(report.to_json()))
     return 0
 
 
 def _cmd_families(args) -> int:
+    from .counting import count
+
     d, labels = _load_digraph(args.spec)
     data = d.to_json()
     data["labels"] = labels
@@ -265,6 +288,16 @@ def _cmd_families(args) -> int:
 
 def _cmd_paper_tables(args) -> int:
     """Recompute every reference table and diff against the fixtures."""
+    from . import golden
+    from .algebra import Polynomial, format_rational
+    from .companion import (catalan_polynomial, catalan_polynomial_r3,
+                            generalized_zigzag, staircase_companion,
+                            staircase_data, two_row_companion)
+    from .families import staircase_counter
+    from .ode import (Ode2, catalan_ode, laguerrean_reflected, reduce_to_QR,
+                      two_row_ode)
+    from .orthogonality import laguerre_inner
+
     failures = []
 
     def check(name: str, ok: bool) -> None:
@@ -296,8 +329,6 @@ def _cmd_paper_tables(args) -> int:
                                        Polynomial.from_json(v),
                                        Polynomial.from_json(w)))
 
-    from .companion import staircase_data
-    from .ode import reduce_to_QR
     for n, coeffs in sorted(golden.STAIRCASE_POLYNOMIALS.items()):
         check(f"staircase-polynomial n={n}",
               staircase_companion(n) == Polynomial.from_json(coeffs))

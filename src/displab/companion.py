@@ -11,9 +11,9 @@ and the derivative recurrence over sink deletions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import Polynomial, binomial, laguerre, monomial, pochhammer
 from .counting import CounterTable, count
@@ -59,8 +59,7 @@ def counter_minus_one(d: SimpleDigraph, v: int) -> int:
 # the companion polynomial
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompanionResult:
+class CompanionResult(NamedTuple):
     """Companion polynomial plus the counter sequence that produced it."""
 
     poly: Polynomial
@@ -177,8 +176,7 @@ def two_row_weight(n1: int, n2: int, r: int, i: int) -> Fraction:
             * two_row_weight(n1, n2 - 1, r, i))
 
 
-@dataclass(frozen=True)
-class TwoRowDecomposition:
+class TwoRowDecomposition(NamedTuple):
     """The weight row f(n1, n2, r, i) for i = 0..min(n1, r-1)."""
 
     n1: int
@@ -317,8 +315,7 @@ def staircase_path_counter_closed(n: int, i: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class StaircaseData:
+class StaircaseData(NamedTuple):
     """Per-order zigzag data: attached-path counters f(n, i), the companion
     coefficients a(n, i), the generalized zigzag numbers i! a(n, i), and the
     Laguerre-pair weights g(n, i)."""

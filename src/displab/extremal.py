@@ -14,10 +14,8 @@ isomorphic to the zigzag or its reverse.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .counting import count
 from .errors import SizeLimitError
@@ -28,8 +26,7 @@ SEARCH_ORDER_LIMIT = 8
 ISO_ORDER_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     order: int
     max_counter: int
     argmax_specs: tuple[DispositionalSpec, ...]
@@ -61,7 +58,9 @@ def enumerate_connected_dispositional(m: int) -> Iterator[DispositionalSpec]:
     two and two overlapping rows of one both give the same path), so
     deduplication fingerprints the digraph, not the spec text.
     """
-    if not (1 <= m <= SEARCH_ORDER_LIMIT):
+    if m < 1:
+        raise ValueError(f"order must be at least 1, got {m}")
+    if m > SEARCH_ORDER_LIMIT:
         raise SizeLimitError(
             f"dispositional enumeration is capped at order {SEARCH_ORDER_LIMIT}")
     seen: set[frozenset] = set()
@@ -86,6 +85,8 @@ def max_counter_search(m: int, parallel: bool = False,
     specs = list(enumerate_connected_dispositional(m))
     digraphs = [make_dispositional(s) for s in specs]
     if parallel and len(digraphs) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             counters = list(pool.map(count, digraphs))
     else:

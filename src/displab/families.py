@@ -8,7 +8,7 @@ arc sets literally.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import binomial, multinomial
 from .errors import ParseError
@@ -19,8 +19,11 @@ from .graph import SimpleDigraph
 # dispositional digraphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DispositionalSpec:
+class _SpecFields(NamedTuple):
+    rows: tuple[tuple[int, int], ...]
+
+
+class DispositionalSpec(_SpecFields):
     """Row lengths and shifts of a grid-of-rows digraph.
 
     ``rows[i] = (length, shift)``: row i+1 sits ``shift`` columns to the
@@ -29,16 +32,16 @@ class DispositionalSpec:
     row in the same absolute column, when it exists.
     """
 
-    rows: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple((int(a), int(b)) for a, b in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __new__(cls, rows):
+        rows = tuple((int(a), int(b)) for a, b in rows)
         if rows:
             if rows[0][1] != 0:
                 raise ValueError("first row shift must be 0")
             if any(a < 0 for a, _ in rows):
                 raise ValueError("row lengths must be nonnegative")
+        return super().__new__(cls, rows)
 
     @property
     def order(self) -> int:

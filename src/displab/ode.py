@@ -68,9 +68,20 @@ class Ode2:
         return f"Ode2({self.u!r}, {self.v!r}, {self.w!r})"
 
     def reflect(self) -> "Ode2":
-        """The equation satisfied by Y(-X) whenever Y satisfies self."""
-        return Ode2(self.u.compose_neg(), -self.v.compose_neg(),
-                    self.w.compose_neg())
+        """The equation satisfied by Y(-X) whenever Y satisfies self.
+
+        X -> -X keeps the triple gcd-free and keeps its content, so only
+        the sign can need fixing.
+        """
+        u, v, w = (self.u.compose_neg(), -self.v.compose_neg(),
+                   self.w.compose_neg())
+        if next(p for p in (u, v, w) if not p.is_zero()).leading() < 0:
+            u, v, w = -u, -v, -w
+        ode = object.__new__(Ode2)
+        object.__setattr__(ode, "u", u)
+        object.__setattr__(ode, "v", v)
+        object.__setattr__(ode, "w", w)
+        return ode
 
     def to_json(self) -> dict:
         return {"U": self.u.to_json(), "V": self.v.to_json(),

@@ -6,12 +6,9 @@ rational sum; no numerics anywhere.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import Polynomial, format_rational, laguerre, monomial, pochhammer
 
@@ -36,12 +33,14 @@ def moment_xi_djLn(i: int, j: int, n: int) -> Fraction:
             * pochhammer(i - n + 1, n - j) * pochhammer(n + 1, i - n))
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     entries: tuple[tuple[Fraction, ...], ...]
     labels: tuple[str, ...]
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([""] + list(self.labels))

@@ -1,8 +1,17 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import displab
 from displab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -57,6 +66,32 @@ def test_max_order_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("DISPLAB_MAX_ORDER", "10")
     code, _, _ = run(capsys, "count", "--family", "empty:30")
     assert code == 1
+
+
+def test_max_order_zero_is_a_cap_and_negative_exits_two(capsys, monkeypatch):
+    code, out, err = run(capsys, "count", "--family", "path:3",
+                         "--max-order", "0")
+    assert code == 1 and out == "" and "max-order" in err
+    code, out, err = run(capsys, "count", "--family", "path:3",
+                         "--max-order", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    monkeypatch.setenv("DISPLAB_MAX_ORDER", "-1")
+    code, out, err = run(capsys, "count", "--family", "path:3")
+    assert code == 2 and out == "" and "DISPLAB_MAX_ORDER" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gram", "--catalan", "0"),
+    ("gram", "--catalan", "-2"),
+    ("gram", "--laguerre", "0"),
+    ("ode", "--laguerre", "-1"),
+    ("extremal", "--order", "0"),
+    ("extremal", "--order", "-3"),
+    ("families", "--spec", "path:1", "--max-order", "-1"),
+])
+def test_size_below_minimum_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:"), argv
 
 
 def test_companion_pretty(capsys):
@@ -218,3 +253,63 @@ def test_output_is_deterministic(capsys):
 def test_requires_input_source(capsys):
     code, _, err = run(capsys, "count")
     assert code == 2 and "family" in err
+
+
+def fresh_python(code: str) -> str:
+    """Stdout of `code` run by a new interpreter that imports from src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_families_loads_only_what_it_runs():
+    out = fresh_python("""
+import sys
+from displab import cli
+cli.main(["families", "--spec", "path:1"])
+print([m for m in ("dataclasses", "concurrent.futures", "csv",
+                   "displab.companion", "displab.ode",
+                   "displab.orthogonality", "displab.extremal")
+       if m in sys.modules])
+""")
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_exports_resolve_to_their_submodule_objects():
+    for name in displab.__all__:
+        obj = getattr(displab, name)
+        # a submodule itself, or the attribute of the module defining it
+        home = (sys.modules.get(f"displab.{name}")
+                or getattr(sys.modules[obj.__module__], name))
+        assert obj is home, name
+    star: dict = {}
+    exec("from displab import *", star)
+    assert set(displab.__all__) <= set(star) & set(dir(displab))
+
+
+def test_exports_resolve_under_threads():
+    # 8 threads race through the first imports of a fresh package
+    out = fresh_python("""
+import sys, threading
+sys.setswitchinterval(1e-6)
+import displab
+barrier = threading.Barrier(8)
+seen = []
+
+def resolve():
+    barrier.wait()
+    seen.append({name: getattr(displab, name) for name in displab.__all__})
+
+threads = [threading.Thread(target=resolve) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+bad = sorted({name for got in seen for name, obj in got.items()
+              if obj is not (sys.modules.get(f"displab.{name}")
+                             or getattr(sys.modules[obj.__module__], name))})
+print(sum(t.is_alive() for t in threads), len(seen), bad)
+""")
+    assert out.splitlines()[-1] == "0 8 []"

@@ -67,6 +67,25 @@ def test_ode2_reflect_roundtrip():
     assert ode.reflect().reflect() == ode
 
 
+def test_ode2_reflect_equals_normalized_reflection():
+    # reflect skips the normalizing constructor; building the reflected
+    # triple through it must give the same coefficients
+    rng = random.Random(65)
+    odes = [laguerrean(staircase_companion(n).compose_neg())
+            for n in range(1, 21)]
+    for _ in range(60):
+        common = rand_poly(rng, 2) * rng.choice((-1, 1))
+        triple = [common * rand_poly(rng, 5) * rng.choice((-1, 1))
+                  if rng.random() < 0.8 else Polynomial() for _ in range(3)]
+        if any(triple):
+            odes.append(Ode2(*triple))
+    for ode in odes:
+        expected = Ode2(ode.u.compose_neg(), -ode.v.compose_neg(),
+                        ode.w.compose_neg())
+        assert ode.reflect() == expected
+        assert ode.reflect().reflect() == ode
+
+
 def test_ode2_json_roundtrip():
     ode = catalan_ode(4)
     assert Ode2.from_json(ode.to_json()) == ode
