@@ -120,6 +120,7 @@ def _cmd_count(args) -> int:
 def _cmd_dispositions(args) -> int:
     from .counting import enumerate_dispositions
 
+    _at_least(args.cap, 0, "--cap")
     d, _, _ = _digraph_from_args(args)
     dispositions = enumerate_dispositions(d, cap=args.cap)
     if args.format == "json":
@@ -132,15 +133,12 @@ def _cmd_dispositions(args) -> int:
 
 
 def _cmd_companion(args) -> int:
-    from .companion import (CompanionResult, companion_by_recurrence,
-                            companion_from_counters, counters_along_path)
+    from .companion import companion_by_heights, companion_from_counters
 
     d, labels, _ = _digraph_from_args(args)
     v = _resolve_vertex(args.vertex, labels, d.n)
     if args.route == "recurrence":
-        poly = companion_by_recurrence(d.reverse() if args.dual else d, v)
-        counters = counters_along_path(d, v, max(d.n - 1, 0), reverse=args.dual)
-        result = CompanionResult(poly, tuple(counters), v, dual=args.dual)
+        result = companion_by_heights(d, v, reverse=args.dual)
     else:
         result = companion_from_counters(d, v, reverse=args.dual)
     if args.format == "json":
@@ -441,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            "connected row-grid digraphs")
     sub.add_argument("--order", type=int, required=True)
     sub.add_argument("--parallel", action="store_true",
-                     help="evaluate counters on a thread pool")
+                     help="accepted and ignored (the search is serial)")
     sub.set_defaults(func=_cmd_extremal)
 
     sub = subs.add_parser("families", help="build a named digraph family")

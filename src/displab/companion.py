@@ -5,7 +5,10 @@ produces a counter sequence sigma(G_0), sigma(G_1), ...; its exponential
 generating series equals T(X) exp(X) for a unique polynomial T of degree
 at most n-1, the companion polynomial of G at v.  Two independent routes
 compute it here: series deconvolution of the counter sequence by exp(-X),
-and the derivative recurrence over sink deletions.
+and the height distribution of v, N_k = the number of dispositions with
+f(v) = k, counted by the shared subset kernel of ``counting``.  A path
+attached below v fits C(k-1+i, i) ways, and by Kummer's transformation
+sum_i C(k-1+i, i) X^i/i! = exp(X) L_{k-1}(-X), so T = sum_k N_k L_{k-1}(-X).
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import Polynomial, binomial, laguerre, monomial, pochhammer
-from .counting import CounterTable, count
+from .counting import CounterTable
 from .errors import DeconvolutionTailError
 from .families import staircase_counter, two_row_counter
-from .graph import SimpleDigraph, full_mask, iter_mask
+from .graph import SimpleDigraph, full_mask, iter_mask, mask_size
 from .ode import laguerre_basis_decompose
 
 
@@ -47,12 +50,79 @@ def counters_along_path(d: SimpleDigraph, v: int, horizon: int,
 def counter_minus_one(d: SimpleDigraph, v: int) -> int:
     """The index -1 convention of the counter recurrence:
 
-    sigma(G_{-1}) = sigma(G - v) when v is a sink, else 0.
+    sigma(G_{-1}) = sigma(G - v) when v is a sink, else 0; that is N_1,
+    the number of dispositions with f(v) = 1.
     """
-    sinks, _ = d.sinks_and_sources()
-    if sinks >> v & 1:
-        return count(d.induced_subgraph(full_mask(d.n) & ~(1 << v)))
-    return 0
+    return height_counts(d, v)[0]
+
+
+# ---------------------------------------------------------------------------
+# the height distribution of v
+# ---------------------------------------------------------------------------
+
+class _HeightTable(CounterTable):
+    """CounterTable plus the height distribution of one vertex v.
+
+    ``heights(mask)`` is N for the subgraph induced by a mask holding v:
+    entry k - 1 counts its dispositions with f(v) = k.  Like ``sigma`` it
+    splits off weak components, memoizes only connected subsets and peels
+    the side in use, and both memos charge the same budget of states.
+    """
+
+    def __init__(self, d: SimpleDigraph, v: int):
+        super().__init__(d)
+        self.v = v
+        self.heights_memo: dict[int, tuple[int, ...]] = {}
+
+    def heights(self, mask: int) -> tuple[int, ...]:
+        got = self.heights_memo.get(mask)
+        if got is not None:
+            return got
+        v = self.v
+        size = mask_size(mask)
+        comps = self._components(mask)
+        if len(comps) > 1:
+            # interleave v's component C with the rest R: v at height j + 1
+            # of C and k + 1 of S leaves C(k, j) C(|S|-1-k, |C|-1-j) ways
+            comp = next(c for c in comps if c >> v & 1)
+            inner = self.heights(comp)
+            m = len(inner)
+            rest = self.sigma(mask ^ comp)
+            return tuple(
+                rest * sum(inner[j] * math.comb(k, j)
+                           * math.comb(size - 1 - k, m - 1 - j)
+                           for j in range(m))
+                for k in range(size))
+        self._spend()
+        blocked = self._blocked
+        # a peeled sink takes the lowest value and lifts the others by one;
+        # a peeled source takes the highest
+        shift = 1 if blocked is self.out else 0
+        total = [0] * size
+        for w in iter_mask(mask):
+            if blocked[w] & mask == 0:
+                sub = mask & ~(1 << w)
+                if w == v:
+                    total[0 if shift else size - 1] += self.sigma(sub)
+                else:
+                    for k, x in enumerate(self.heights(sub), shift):
+                        total[k] += x
+        result = tuple(total)
+        self.heights_memo[mask] = result
+        return result
+
+
+def height_counts(d: SimpleDigraph, v: int) -> tuple[int, ...]:
+    """(N_1, ..., N_n), where N_k dispositions of d have f(v) = k.
+
+    All zeros when a loop was normalized away or a directed cycle exists.
+    """
+    if not (0 <= v < d.n):
+        raise ValueError(f"vertex {v} out of range")
+    if d.had_loop or not d.is_acyclic():
+        return (0,) * d.n
+    table = _HeightTable(d, v)
+    return table._either_side(table.heights, full_mask(d.n))
 
 
 # ---------------------------------------------------------------------------
@@ -104,34 +174,31 @@ def companion_from_counters(d: SimpleDigraph, v: int,
                            dual=reverse)
 
 
-def companion_by_recurrence(d: SimpleDigraph, v: int) -> Polynomial:
-    """Companion polynomial by the derivative recurrence
+def companion_by_heights(d: SimpleDigraph, v: int,
+                         reverse: bool = False) -> CompanionResult:
+    """Companion polynomial and counters sigma(G_0..G_{n-1}) from N.
 
-    dT(S)/dX = sum over sinks w of S, w != v, of (T(S-w) + dT(S-w)/dX),
-    with constant term sigma(S); the base case is the single vertex v.
+    sigma(G_i) = sum_k N_k C(k-1+i, i), and the X^i coefficient of
+    T = sum_k N_k L_{k-1}(-X) is sum_k N_k C(k-1, i) / i!.  Reversal maps
+    f to n + 1 - f, so reversed paths read N backwards.
     """
-    if not (0 <= v < d.n):
-        raise ValueError(f"vertex {v} out of range")
-    if d.had_loop or not d.is_acyclic():
-        return Polynomial()
-    table = CounterTable(d)
-    out = table.out
-    memo: dict[int, Polynomial] = {1 << v: Polynomial((1,))}
+    heights = height_counts(d, v)
+    if reverse:
+        heights = heights[::-1]
+    n = len(heights)
+    poly = Polynomial(
+        Fraction(sum(c * math.comb(k, i) for k, c in enumerate(heights)),
+                 math.factorial(i))
+        for i in range(n))
+    counters = tuple(sum(c * math.comb(k + i, i)
+                         for k, c in enumerate(heights))
+                     for i in range(n))
+    return CompanionResult(poly, counters, v, dual=reverse)
 
-    def comp(mask: int) -> Polynomial:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        deriv = Polynomial()
-        for w in iter_mask(mask):
-            if w != v and out[w] & mask == 0:
-                sub = comp(mask & ~(1 << w))
-                deriv = deriv + sub + sub.derivative()
-        poly = deriv.antiderivative(table.sigma(mask))
-        memo[mask] = poly
-        return poly
 
-    return comp(full_mask(d.n))
+def companion_by_recurrence(d: SimpleDigraph, v: int) -> Polynomial:
+    """Companion polynomial from the height distribution of v."""
+    return companion_by_heights(d, v).poly
 
 
 def companion_dual(d: SimpleDigraph, v: int) -> Polynomial:
@@ -140,7 +207,7 @@ def companion_dual(d: SimpleDigraph, v: int) -> Polynomial:
     Equals the plain companion of the reversed digraph at v, because
     reversal swaps sinks and sources and keeps every counter.
     """
-    return companion_by_recurrence(d.reverse(), v)
+    return companion_by_heights(d, v, reverse=True).poly
 
 
 # ---------------------------------------------------------------------------

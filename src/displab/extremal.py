@@ -79,18 +79,14 @@ def enumerate_connected_dispositional(m: int) -> Iterator[DispositionalSpec]:
             yield spec
 
 
-def max_counter_search(m: int, parallel: bool = False,
-                       max_workers: int | None = None) -> SearchReport:
-    """Maximize the counter over all connected specs of order m."""
-    specs = list(enumerate_connected_dispositional(m))
-    digraphs = [make_dispositional(s) for s in specs]
-    if parallel and len(digraphs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def max_counter_search(m: int, parallel: bool = False) -> SearchReport:
+    """Maximize the counter over all connected specs of order m.
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            counters = list(pool.map(count, digraphs))
-    else:
-        counters = [count(d) for d in digraphs]
+    ``parallel`` is accepted and ignored: counting is pure Python, so a
+    thread pool under the interpreter lock only added time.
+    """
+    specs = list(enumerate_connected_dispositional(m))
+    counters = [count(make_dispositional(s)) for s in specs]
     best = max(counters)
     argmax = tuple(s for s, c in zip(specs, counters) if c == best)
     return SearchReport(order=m, max_counter=best, argmax_specs=argmax,

@@ -44,7 +44,7 @@ class Ode2:
             u = u.divmod(g)[0]
             v = v.divmod(g)[0]
             w = w.divmod(g)[0]
-        c = _joint_content(u, v, w)
+        c = Polynomial(u.coeffs + v.coeffs + w.coeffs).content()
         first = next(p for p in (u, v, w) if not p.is_zero())
         if first.leading() < 0:
             c = -c
@@ -116,16 +116,6 @@ def _triple_gcd(u, v, w) -> Polynomial:
     for p in (u, v, w):
         g = p if g.is_zero() else g.gcd(p)
     return g
-
-
-def _joint_content(u, v, w) -> Fraction:
-    import math
-    num, den = 0, 1
-    for p in (u, v, w):
-        for c in p.coeffs:
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    return Fraction(num, den)
 
 
 def laguerre_equation(n: int) -> Ode2:

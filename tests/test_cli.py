@@ -88,6 +88,7 @@ def test_max_order_zero_is_a_cap_and_negative_exits_two(capsys, monkeypatch):
     ("extremal", "--order", "0"),
     ("extremal", "--order", "-3"),
     ("families", "--spec", "path:1", "--max-order", "-1"),
+    ("dispositions", "--family", "path:3", "--cap", "-1"),
 ])
 def test_size_below_minimum_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -119,6 +120,17 @@ def test_companion_dual(capsys):
                        "--vertex", "v1", "--dual", "--format", "json")
     assert code == 0
     assert json.loads(out)["poly"] == ["1"]
+
+
+def test_companion_recurrence_on_star_finishes(capsys):
+    argv = ["companion", "--family", "star:18", "--vertex", "v1"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "displab.cli", *argv, "--route", "recurrence"],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and proc.stdout == out
 
 
 def test_dispositions(capsys):

@@ -10,19 +10,23 @@ from displab.algebra import (Polynomial, TruncatedSeries, binomial,
                              exp_series, generalized_laguerre, laguerre,
                              pochhammer, poly_to_series,
                              series_from_counters)
+from displab import counting
+from displab.cli import main
 from displab.companion import (CompanionResult, companion_by_recurrence,
                                companion_dual, companion_from_counters,
                                counter_minus_one, counters_along_path,
+                               height_counts,
                                catalan_polynomial, catalan_polynomial_r3,
                                generalized_zigzag, staircase_companion,
                                staircase_data, staircase_path_counter,
                                staircase_path_counter_closed,
                                two_row_companion, two_row_companion_closed,
                                two_row_weight)
-from displab.counting import count, count_bruteforce
+from displab.counting import count, count_bruteforce, enumerate_dispositions
+from displab.errors import SizeLimitError
 from displab.families import (make_empty, make_path, make_rooted_tree,
-                              make_staircase, make_two_row, staircase_counter,
-                              two_row_counter)
+                              make_staircase, make_star, make_two_row,
+                              staircase_counter, two_row_counter)
 from displab.graph import Multidigraph, SimpleDigraph, normalize
 from helpers import (random_acyclic_digraph, random_simple_digraph,
                      random_tree_parents)
@@ -75,6 +79,9 @@ def test_counter_minus_one_convention():
     assert counter_minus_one(d, 0) == 0
     # index 1 is a sink: the convention gives the counter without it
     assert counter_minus_one(d, 1) == count(d.induced_subgraph({0, 2}))
+    # a loop anywhere leaves no disposition, so no counter either
+    looped = normalize(Multidigraph(3, [(0, 1), (2, 2)]))
+    assert counter_minus_one(looped, 1) == 0
 
 
 def test_counter_recurrence_identity_with_minus_one():
@@ -256,6 +263,63 @@ def test_companion_dual_by_direct_source_recurrence():
         d = random_acyclic_digraph(rng, rng.randint(1, 6))
         v = rng.randrange(d.n)
         assert companion_dual(d, v) == dual_direct(d, v)
+
+
+# -- the height distribution of v ---------------------------------------------
+
+def test_height_counts_match_enumeration():
+    rng = random.Random(48)
+    for k in range(80):
+        n = rng.randint(1, 7)
+        if k % 4 == 0:
+            d = random_simple_digraph(rng, n)
+        else:
+            d = random_acyclic_digraph(rng, n)
+        if k % 5 == 0:
+            loop = rng.randrange(n)
+            d = normalize(Multidigraph(n, sorted(d.arcs) + [(loop, loop)]))
+        v = rng.randrange(n)
+        expected = [0] * n
+        if not d.had_loop:
+            for f in enumerate_dispositions(d):
+                expected[f[v] - 1] += 1
+        assert height_counts(d, v) == tuple(expected), (sorted(d.arcs), v)
+
+
+def test_companion_closed_forms_on_stars_of_forty():
+    """At the maximum point N is 39! at k = 40; at a leaf it is 38! at
+    each k <= 39, and sum_{m<=38} L_m = L_38^(1)."""
+    at_center = math.factorial(39) * laguerre(39).compose_neg()
+    at_leaf = (math.factorial(38)
+               * generalized_laguerre(38, 1).compose_neg())
+    out_star = make_star(40)
+    assert companion_by_recurrence(out_star, 0) == at_center
+    assert companion_by_recurrence(out_star, 1) == at_leaf
+    in_star = make_star(40, center_out=False)
+    assert companion_dual(in_star, 0) == at_center
+    assert companion_dual(in_star, 1) == at_leaf
+
+
+def test_routes_agree_on_star_of_twenty_one():
+    # n + 2n - 1 = 62 vertices: the largest star the counters route takes
+    for d in (make_star(21), make_star(21, center_out=False)):
+        for v in (0, 1):
+            assert (companion_by_recurrence(d, v)
+                    == companion_from_counters(d, v).poly)
+            assert (companion_dual(d, v)
+                    == companion_from_counters(d, v, reverse=True).poly)
+
+
+def test_height_state_cap_refuses(capsys, monkeypatch):
+    monkeypatch.setattr(counting, "STATE_LIMIT", 16)
+    with pytest.raises(SizeLimitError):
+        companion_by_recurrence(make_staircase(16), 0)
+    for dual in ((), ("--dual",)):
+        code = main(["companion", "--family", "staircase:16", "--vertex",
+                     "v1", "--route", "recurrence", *dual])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert out.err.startswith("error:")
 
 
 def test_companion_result_json():
