@@ -10,8 +10,8 @@ import importlib
 # public names, grouped by the submodule that defines them
 _EXPORTS = {
     "algebra": ("Polynomial", "RationalFunction", "TruncatedSeries",
-                "binomial", "factorial", "generalized_laguerre", "laguerre",
-                "multinomial", "pochhammer"),
+                "generalized_laguerre", "laguerre", "pochhammer"),
+    "combinatorics": ("binomial", "factorial", "multinomial"),
     "companion": ("CompanionResult", "StaircaseData", "TwoRowDecomposition",
                   "catalan_polynomial", "catalan_polynomial_r3",
                   "companion_by_recurrence", "companion_dual",

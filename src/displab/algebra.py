@@ -12,45 +12,14 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .combinatorics import binomial, factorial, multinomial  # noqa: F401
+
 Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
-# combinatorial primitives
+# combinatorial primitives (the integer ones live in .combinatorics)
 # ---------------------------------------------------------------------------
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient, generalized to any integer upper argument.
-
-    ``k < 0`` gives 0, and for ``0 <= n < k`` the falling factorial crosses
-    zero, so the usual "lower index greater than the upper one" convention
-    comes out automatically.
-    """
-    if k < 0:
-        return 0
-    if n >= 0:
-        return math.comb(n, k) if k <= n else 0
-    num = 1
-    for j in range(k):
-        num *= n - j
-    return num // math.factorial(k)
-
-
-def multinomial(parts: Iterable[int]) -> int:
-    """Multinomial coefficient (n1+...+nr)! / (n1! ... nr!)."""
-    total = 0
-    denom = 1
-    for p in parts:
-        if p < 0:
-            raise ValueError("multinomial parts must be nonnegative")
-        total += p
-        denom *= math.factorial(p)
-    return math.factorial(total) // denom
-
 
 def pochhammer(z, n: int) -> Fraction:
     """Rising factorial z(z+1)...(z+n-1), with (z)_0 = 1.

@@ -10,7 +10,7 @@ first.  Exit codes: 0 success, 1 computation refused (size caps, mismatch),
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 from pathlib import Path
@@ -41,10 +41,16 @@ def _max_order(args) -> int:
     return cap
 
 
-def _load_digraph(source: str) -> tuple[SimpleDigraph, dict[str, int]]:
-    """Resolve a --family string or --file path into a digraph plus labels."""
+def _load_digraph(source: str, max_order: int | None = None
+                  ) -> tuple[SimpleDigraph, dict[str, int]]:
+    """Resolve a --family string or --file path into a digraph plus labels.
+
+    A digraph of more than ``max_order`` vertices is refused before it or
+    its labels are built.
+    """
     from .families import build_family
-    from .graph import normalize, parse_digraph_json, parse_digraph_text
+    from .graph import (check_order, normalize, parse_digraph_json,
+                        parse_digraph_text)
 
     kind, _, rest = source.partition(":")
     if kind == "file":
@@ -58,26 +64,22 @@ def _load_digraph(source: str) -> tuple[SimpleDigraph, dict[str, int]]:
             multi = parse_digraph_json(text)
         else:
             multi = parse_digraph_text(text)
+        check_order(multi.n, max_order)
         d = normalize(multi)
         return d, {f"v{i + 1}": i for i in range(d.n)}
-    return build_family(source)
+    return build_family(source, max_order)
 
 
 def _digraph_from_args(args) -> tuple[SimpleDigraph, dict[str, int], str]:
     if getattr(args, "family", None) and getattr(args, "file", None):
         raise ParseError("give either --family or --file, not both")
     if getattr(args, "family", None):
-        d, labels = _load_digraph(args.family)
-        name = args.family
+        name, source = args.family, args.family
     elif getattr(args, "file", None):
-        d, labels = _load_digraph(f"file:{args.file}")
-        name = args.file
+        name, source = args.file, f"file:{args.file}"
     else:
         raise ParseError("one of --family or --file is required")
-    cap = _max_order(args)
-    if d.n > cap:
-        raise SizeLimitError(
-            f"digraph order {d.n} exceeds --max-order {cap}")
+    d, labels = _load_digraph(source, _max_order(args))
     return d, labels, name
 
 
@@ -98,6 +100,8 @@ def _emit(text: str) -> None:
 
 
 def _json(data) -> str:
+    import json
+
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
@@ -219,9 +223,7 @@ def _cmd_nonstrict(args) -> int:
     rows = []
     cap = _max_order(args)
     for src in sources:
-        d, _ = _load_digraph(src)
-        if d.n > cap:
-            raise SizeLimitError(f"digraph order {d.n} exceeds --max-order {cap}")
+        d, _ = _load_digraph(src, cap)
         omega = order_polynomial(d)
         # Omega is an integer combination of binomials C(i, k)
         rows.append((src, [int(omega(i))
@@ -257,7 +259,14 @@ def _cmd_series(args) -> int:
             raise ParseError(f"unknown series kind {args.kind!r}")
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad series kind {args.kind!r}: {exc}") from exc
-    coeffs = [format_rational(c) for c in series.coeffs]
+    try:
+        coeffs = [format_rational(c) for c in series.coeffs]
+    except ValueError as exc:
+        # CPython's guard on int-to-str conversion, not a malformed input
+        raise SizeLimitError(
+            f"a series coefficient has more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to print; "
+            f"lower --order") from exc
     if args.format == "json":
         _emit(_json({"order": series.order, "coeffs": coeffs}))
     else:
@@ -371,28 +380,23 @@ def _add_digraph_options(sub, multiple=False) -> None:
                           "(default 20, or DISPLAB_MAX_ORDER)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="displab",
-        description="Exact counters, companion polynomials and differential "
-                    "equations of directed multigraphs.",
-        epilog="Rationals print as p/q.  Polynomial JSON lists coefficients "
-               "lowest degree first; pretty output runs highest degree first.")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _add_format(sub, *choices: str) -> None:
+    sub.add_argument("--format", choices=choices, default=choices[0])
 
-    sub = subs.add_parser("count", help="number of dispositions")
+
+def _count_options(sub) -> None:
     _add_digraph_options(sub)
-    sub.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    sub.set_defaults(func=_cmd_count)
+    _add_format(sub, "pretty", "json")
 
-    sub = subs.add_parser("dispositions", help="list every disposition")
+
+def _dispositions_options(sub) -> None:
     _add_digraph_options(sub)
     sub.add_argument("--cap", type=int, default=100_000,
                      help="refuse to enumerate more dispositions than this")
-    sub.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    sub.set_defaults(func=_cmd_dispositions)
+    _add_format(sub, "pretty", "json")
 
-    sub = subs.add_parser("companion", help="companion polynomial at a vertex")
+
+def _companion_options(sub) -> None:
     _add_digraph_options(sub)
     sub.add_argument("--vertex", required=True,
                      help="vertex label (v2, u1, ...) or 0-based index")
@@ -400,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach the path in reverse orientation")
     sub.add_argument("--route", choices=("counters", "recurrence"),
                      default="counters")
-    sub.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    sub.set_defaults(func=_cmd_companion)
+    _add_format(sub, "pretty", "json")
 
-    sub = subs.add_parser("ode", help="differential equation families")
+
+def _ode_options(sub) -> None:
     sub.add_argument("--catalan", type=int, help="equal-rows equation index")
     sub.add_argument("--tworow", help="n1,n2 for the two-row equation")
     sub.add_argument("--staircase", type=int,
@@ -411,52 +415,102 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--laguerre", type=int, help="plain Laguerre equation")
     sub.add_argument("--r", type=int, choices=(2, 3), default=2,
                      help="attachment vertex for --catalan/--tworow")
-    sub.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    sub.set_defaults(func=_cmd_ode)
+    _add_format(sub, "pretty", "json")
 
-    sub = subs.add_parser("gram", help="Gram matrices under the exp(-x) weight")
+
+def _gram_options(sub) -> None:
     sub.add_argument("--catalan", type=int,
                      help="first N Catalan polynomials, sign-flipped")
     sub.add_argument("--laguerre", type=int, help="first N Laguerre polynomials")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.set_defaults(func=_cmd_gram)
+    _add_format(sub, "csv", "json")
 
-    sub = subs.add_parser("nonstrict", help="non-strict counter table")
+
+def _nonstrict_options(sub) -> None:
     _add_digraph_options(sub, multiple=True)
     sub.add_argument("--max-size", type=int, default=5,
                      help="tabulate sizes 1..N")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.set_defaults(func=_cmd_nonstrict)
+    _add_format(sub, "csv", "json")
 
-    sub = subs.add_parser("series", help="exact truncated power series")
+
+def _series_options(sub) -> None:
     sub.add_argument("--kind", required=True,
                      help="nspaths | nspath-size:J | exp:C | bessel:M,K")
     sub.add_argument("--order", type=int, default=12)
-    sub.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    sub.set_defaults(func=_cmd_series)
+    _add_format(sub, "pretty", "json")
 
-    sub = subs.add_parser("extremal", help="maximize the counter over "
-                                           "connected row-grid digraphs")
+
+def _extremal_options(sub) -> None:
     sub.add_argument("--order", type=int, required=True)
     sub.add_argument("--parallel", action="store_true",
                      help="accepted and ignored (the search is serial)")
-    sub.set_defaults(func=_cmd_extremal)
 
-    sub = subs.add_parser("families", help="build a named digraph family")
+
+def _families_options(sub) -> None:
     sub.add_argument("--spec", required=True, help="family string")
     sub.add_argument("--max-order", type=int, default=None)
-    sub.set_defaults(func=_cmd_families)
 
-    sub = subs.add_parser("paper-tables",
-                          help="recompute the reference tables and diff "
-                               "against the checked-in fixtures")
-    sub.set_defaults(func=_cmd_paper_tables)
 
+def _no_options(sub) -> None:
+    pass
+
+
+# subcommand name -> (help, adds its arguments, handler), in --help order
+COMMANDS = {
+    "count": ("number of dispositions", _count_options, _cmd_count),
+    "dispositions": ("list every disposition", _dispositions_options,
+                     _cmd_dispositions),
+    "companion": ("companion polynomial at a vertex", _companion_options,
+                  _cmd_companion),
+    "ode": ("differential equation families", _ode_options, _cmd_ode),
+    "gram": ("Gram matrices under the exp(-x) weight", _gram_options,
+             _cmd_gram),
+    "nonstrict": ("non-strict counter table", _nonstrict_options,
+                  _cmd_nonstrict),
+    "series": ("exact truncated power series", _series_options, _cmd_series),
+    "extremal": ("maximize the counter over connected row-grid digraphs",
+                 _extremal_options, _cmd_extremal),
+    "families": ("build a named digraph family", _families_options,
+                 _cmd_families),
+    "paper-tables": ("recompute the reference tables and diff against the "
+                     "checked-in fixtures", _no_options, _cmd_paper_tables),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.
+
+    Given a known subcommand name, only that subcommand is registered, which
+    saves building the other nine; its help, usage lines and errors read
+    the same as the full parser's.  Any other ``command`` (None, unknown)
+    registers all of them.
+    """
+    parser = argparse.ArgumentParser(
+        prog="displab",
+        description="Exact counters, companion polynomials and differential "
+                    "equations of directed multigraphs.",
+        epilog="Rationals print as p/q.  Polynomial JSON lists coefficients "
+               "lowest degree first; pretty output runs highest degree first.")
+    if command in COMMANDS:
+        names = [command]
+        # the metavar the full parser derives from its choices
+        metavar = "{" + ",".join(COMMANDS) + "}"
+    else:
+        names = list(COMMANDS)
+        metavar = None
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar=metavar)
+    for name in names:
+        help_text, add_options, handler = COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        add_options(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -469,5 +523,20 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """Entry point of the ``displab`` script and of ``python -m displab.cli``.
+
+    Runs :func:`main` on the process's arguments, then freezes the heap
+    (``gc.freeze``): every object still alive moves to the collector's
+    permanent generation, so the collections at interpreter shutdown skip
+    it.  Exit handlers, stream flushing and the exit status are unchanged.
+    ``main`` itself has no process-wide effect, for callers that run it
+    in-process.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import Polynomial, binomial, laguerre, monomial, pochhammer
+from .algebra import Polynomial, laguerre, monomial, pochhammer
+from .combinatorics import binomial
 from .counting import CounterTable
 from .errors import DeconvolutionTailError
 from .families import staircase_counter, two_row_counter

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .algebra import multinomial
+from .combinatorics import multinomial
 from .errors import CapExceededError, SizeLimitError
 from .graph import (SimpleDigraph, check_mask_limit, full_mask, iter_mask,
                     mask_size)

@@ -58,6 +58,13 @@ def enumerate_connected_dispositional(m: int) -> Iterator[DispositionalSpec]:
     two and two overlapping rows of one both give the same path), so
     deduplication fingerprints the digraph, not the spec text.
     """
+    for spec, _ in _connected_digraphs(m):
+        yield spec
+
+
+def _connected_digraphs(m: int
+                        ) -> Iterator[tuple[DispositionalSpec, SimpleDigraph]]:
+    """Each spec of enumerate_connected_dispositional(m) with its digraph."""
     if m < 1:
         raise ValueError(f"order must be at least 1, got {m}")
     if m > SEARCH_ORDER_LIMIT:
@@ -76,7 +83,7 @@ def enumerate_connected_dispositional(m: int) -> Iterator[DispositionalSpec]:
             if key in seen:
                 continue
             seen.add(key)
-            yield spec
+            yield spec, digraph
 
 
 def max_counter_search(m: int, parallel: bool = False) -> SearchReport:
@@ -85,8 +92,11 @@ def max_counter_search(m: int, parallel: bool = False) -> SearchReport:
     ``parallel`` is accepted and ignored: counting is pure Python, so a
     thread pool under the interpreter lock only added time.
     """
-    specs = list(enumerate_connected_dispositional(m))
-    counters = [count(make_dispositional(s)) for s in specs]
+    specs = []
+    counters = []
+    for spec, digraph in _connected_digraphs(m):
+        specs.append(spec)
+        counters.append(count(digraph))
     best = max(counters)
     argmax = tuple(s for s, c in zip(specs, counters) if c == best)
     return SearchReport(order=m, max_counter=best, argmax_specs=argmax,

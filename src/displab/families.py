@@ -10,9 +10,9 @@ from __future__ import annotations
 import threading
 from typing import NamedTuple
 
-from .algebra import binomial, multinomial
+from .combinatorics import binomial, multinomial
 from .errors import ParseError
-from .graph import SimpleDigraph
+from .graph import SimpleDigraph, check_order
 
 
 # ---------------------------------------------------------------------------
@@ -318,44 +318,56 @@ def two_row_counter(n1: int, n2: int) -> int:
 # family strings ("staircase:7", "tworow:2,3", ...)
 # ---------------------------------------------------------------------------
 
-def build_family(text: str) -> tuple[SimpleDigraph, dict[str, int]]:
+# families whose one parameter is their order
+_BY_ORDER = {"path": make_path, "empty": make_empty, "star": make_star,
+             "staircase": make_staircase}
+
+
+def build_family(text: str, max_order: int | None = None
+                 ) -> tuple[SimpleDigraph, dict[str, int]]:
     """Parse a family string and return (digraph, vertex labels).
 
     Most families label vertices v1..vn in index order; the two-row family
-    labels its rows u1..u{n1} / v1..v{n2} instead.
+    labels its rows u1..u{n1} / v1..v{n2} instead.  A family of more than
+    ``max_order`` vertices is refused with ``SizeLimitError`` before
+    anything is built; malformed parameters stay ``ParseError``.
     """
     name, _, arg = text.partition(":")
     name = name.strip().lower()
     try:
-        if name == "path":
+        if name in _BY_ORDER:
             n = int(arg)
-            return make_path(n), _index_labels(n)
-        if name == "empty":
-            n = int(arg)
-            return make_empty(n), _index_labels(n)
-        if name == "star":
-            n = int(arg)
-            return make_star(n), _index_labels(n)
-        if name == "staircase":
-            n = int(arg)
-            return make_staircase(n), _index_labels(n)
+            check_order(n, max_order)
+            return _BY_ORDER[name](n), _index_labels(n)
         if name == "tworow":
             n1, n2 = (int(x) for x in arg.split(","))
+            if 0 <= n1 <= n2:  # make_two_row refuses the rest as malformed
+                check_order(n1 + n2, max_order)
             return make_two_row(n1, n2), two_row_labels(n1, n2)
         if name == "qary":
             q, level = (int(x) for x in arg.split(","))
+            if q >= 2 and max_order is not None:
+                # sum the levels only until they pass the cap
+                order = 0
+                for m in range(level):
+                    order += q**m
+                    check_order(order, max_order, more=m < level - 1)
             d = make_qary_level(q, level)
             return d, _index_labels(d.n)
         if name == "tree":
+            # the parent array is as long as the text, so build, then check
             parents = [int(x) for x in arg.split(",")]
             d = make_rooted_tree(parents)
+            check_order(d.n, max_order)
             return d, _index_labels(d.n)
         if name == "dispositional":
             rows = []
             for part in arg.split(";"):
                 a, b = (int(x) for x in part.split(","))
                 rows.append((a, b))
-            d = make_dispositional(DispositionalSpec(tuple(rows)))
+            spec = DispositionalSpec(tuple(rows))
+            check_order(spec.order, max_order)
+            d = make_dispositional(spec)
             return d, _index_labels(d.n)
     except ParseError:
         raise

@@ -7,7 +7,6 @@ on subsets refuse digraphs with more than 63 vertices.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator
 
 from .errors import ParseError, SizeLimitError
@@ -47,6 +46,15 @@ def check_mask_limit(n: int, what: str = "subset-memoized operation") -> None:
         raise SizeLimitError(
             f"{what} supports at most {MASK_VERTEX_LIMIT} vertices, got {n}"
         )
+
+
+def check_order(order: int, max_order: int | None, more: bool = False) -> None:
+    """Refuse a digraph of `order` vertices (at least that many, with
+    `more`) above the CLI's order cap; None means no cap."""
+    if max_order is not None and order > max_order:
+        size = f"at least {order}" if more else order
+        raise SizeLimitError(
+            f"digraph order {size} exceeds --max-order {max_order}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +359,8 @@ def parse_digraph_text(text: str) -> Multidigraph:
 def parse_digraph_json(data) -> Multidigraph:
     """JSON format: {"n": int, "arcs": [[u, v], ...]}."""
     if isinstance(data, (str, bytes)):
+        import json
+
         try:
             data = json.loads(data)
         except json.JSONDecodeError as exc:

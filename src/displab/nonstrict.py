@@ -18,7 +18,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Polynomial, TruncatedSeries, binomial
+from .algebra import Polynomial, TruncatedSeries
+from .combinatorics import binomial
 from .counting import _PeelTable
 from .errors import SizeLimitError
 from .graph import SimpleDigraph, full_mask, iter_mask, mask_size

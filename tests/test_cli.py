@@ -1,5 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import displab
-from displab.cli import main
+from displab.cli import COMMANDS, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -93,6 +95,22 @@ def test_max_order_zero_is_a_cap_and_negative_exits_two(capsys, monkeypatch):
 def test_size_below_minimum_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--kind", "nspaths", "--order", "2000"),
+    ("series", "--kind", "exp:1", "--order", "2000", "--format", "json"),
+])
+def test_output_too_long_to_print_exits_one(capsys, argv):
+    # CPython refuses to print an int of more than 4300 digits
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:"), argv
+    assert "too long to print" in err
+
+
+def test_series_below_digit_limit_prints(capsys):
+    code, out, _ = run(capsys, "series", "--kind", "nspaths", "--order", "1500")
+    assert code == 0 and len(out.split()) == 1501
 
 
 def test_companion_pretty(capsys):
@@ -325,3 +343,88 @@ bad = sorted({name for got in seen for name, obj in got.items()
 print(sum(t.is_alive() for t in threads), len(seen), bad)
 """)
     assert out.splitlines()[-1] == "0 8 []"
+
+
+def parse_outcome(parser, argv):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_subcommand_parser_matches_full_parser(name):
+    for argv in ([name, "-h"], [name, "--bogus"], [name, "extra"]):
+        assert (parse_outcome(build_parser(name), argv)
+                == parse_outcome(build_parser(), argv)), argv
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["count", "--family", "path:3"], ("json", "fractions", "decimal")),
+    (["families", "--spec", "path:1"], ("fractions", "decimal")),
+])
+def test_integer_paths_load_no_json_or_fractions(argv, unused):
+    out = fresh_python(f"""
+import sys
+at_start = set(sys.modules)
+from displab import cli
+cli.main({argv!r})
+print([m for m in {unused!r} if m in sys.modules and m not in at_start])
+""")
+    assert out.splitlines()[-1] == "[]"
+
+
+def run_cli(*argv, timeout=60):
+    """`python -m displab.cli argv...` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "displab.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def test_entry_point_keeps_output_and_exit_codes(capsys):
+    # about 0.8 MB of stdout must survive the heap freeze at exit
+    argv = ("nonstrict", "--family", "staircase:14", "--family", "star:14",
+            "--max-size", "8000")
+    proc = run_cli(*argv)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0 and len(out) > 800_000
+    assert proc.stdout == out
+    for argv, code in ((("count", "--family", "empty:30"), 1),
+                       (("count", "--family", "nosuch:4"), 2)):
+        proc = run_cli(*argv)
+        assert proc.returncode == code and proc.stdout == "", argv
+        assert proc.stderr.startswith("error:"), argv
+
+
+# runs displab.cli as __main__ with its address space capped at 512 MB
+LIMITED_CLI = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+sys.argv = ["displab", *sys.argv[1:]]
+runpy.run_module("displab.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--family", "path:1000000000000"),
+    ("count", "--file", "{text}"),
+    ("nonstrict", "--file", "{json}"),
+    ("dispositions", "--family", "staircase:99999999999"),
+    ("companion", "--family", "qary:2,1000000000000", "--vertex", "v1"),
+    ("nonstrict", "--family", "tworow:1,1000000000000"),
+    ("count", "--family", "dispositional:1000000000000,0"),
+])
+def test_oversized_digraph_refused_before_building(tmp_path, argv):
+    text = tmp_path / "big.txt"
+    text.write_text("n 1000000000000\n")
+    data = tmp_path / "big.json"
+    data.write_text('{"n": 1000000000000, "arcs": []}')
+    argv = [a.format(text=text, json=data) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error:") and "max-order" in proc.stderr
