@@ -1,8 +1,9 @@
 """Exact arithmetic: rationals, dense polynomials, rational functions, series.
 
-Everything in this module is exact.  Rationals are ``fractions.Fraction``
-throughout; polynomials carry dense coefficient tuples (degrees in this
-package stay below ~60, so sparsity buys nothing).
+Everything in this module is exact.  Rationals are ``fractions.Fraction``;
+a polynomial is a dense tuple of integer numerators over one common
+denominator (degrees in this package stay below ~200, so sparsity buys
+nothing).
 """
 
 from __future__ import annotations
@@ -57,20 +58,40 @@ def parse_rational(text: str) -> Fraction:
 # polynomials
 # ---------------------------------------------------------------------------
 
-class Polynomial:
-    """Dense univariate polynomial over Fraction, lowest degree first.
+# a shorter factor below this length multiplies schoolbook: packing pays
+# off from about 10 terms with coefficients of up to 128 bits and from
+# about 20 with 300 bits or more (CPython 3.11)
+_SCHOOLBOOK_LENGTH = 16
+# the prime of the coprimality test in Polynomial.gcd, 2^61 - 1
+_PRIME = (1 << 61) - 1
 
-    Trailing zero coefficients are trimmed on construction; the zero
-    polynomial is the empty tuple.  Instances are immutable and hashable.
+
+class Polynomial:
+    """Dense univariate polynomial over the rationals, lowest degree first.
+
+    Stored as integer numerators ``num`` over one positive denominator
+    ``den``, in canonical form: no trailing zero numerator, and
+    ``gcd(den, *num) == 1``; the zero polynomial is ``((), 1)``.  So equal
+    polynomials have equal ``(num, den)``.  ``coeffs`` is the read-only
+    ``Fraction`` view.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()):  # noqa: D107
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):
+            num, den = cs, 1
+        else:
+            fs = [Fraction(c) for c in cs]
+            den = math.lcm(*(f.denominator for f in fs))
+            num = [f.numerator * (den // f.denominator) for f in fs]
+        _canonical(self, num, den)
+
+    @classmethod
+    def from_numerators(cls, num: Iterable[int], den: int = 1) -> "Polynomial":
+        """The polynomial sum num[i]/den X^i, for integers num and den != 0."""
+        return _canonical(object.__new__(cls), list(num), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -78,33 +99,38 @@ class Polynomial:
     # -- basics ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
+    @property
     def degree(self) -> int:
         """Degree; the zero polynomial reports -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.num):
+            return Fraction(self.num[i], self.den)
         return Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -112,36 +138,31 @@ class Polynomial:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
+        return _add(self, _as_poly(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return _raw(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-_as_poly(other))
+        return _add(self, _as_poly(other), -1)
 
     def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) - self
+        return _add(_as_poly(other), self, -1)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
+        if isinstance(other, Polynomial):
+            return Polynomial.from_numerators(
+                _mul_vectors(self.num, other.num), self.den * other.den)
+        if isinstance(other, int):
+            return Polynomial.from_numerators(
+                [c * other for c in self.num], self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return Polynomial.from_numerators(
+                [c * p for c in self.num], self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -151,63 +172,83 @@ class Polynomial:
     # -- calculus ---------------------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i)
+        return Polynomial.from_numerators(
+            [i * c for i, c in enumerate(self.num) if i], self.den)
 
     def antiderivative(self, constant=0) -> "Polynomial":
         """Antiderivative with the given constant term (the caller fixes it)."""
-        out = [Fraction(constant)]
-        out.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
-        return Polynomial(out)
+        constant = Fraction(constant)
+        scale = math.lcm(*range(1, len(self.num) + 1))
+        den = math.lcm(self.den * scale, constant.denominator)
+        lift = den // (self.den * scale)
+        num = [constant.numerator * (den // constant.denominator)]
+        num.extend(c * (scale // (i + 1)) * lift
+                   for i, c in enumerate(self.num))
+        return Polynomial.from_numerators(num, den)
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at a rational x, by Horner's rule on the numerators."""
+        if type(x) is int:
+            acc = 0
+            for c in reversed(self.num):
+                acc = acc * x + c
+            return Fraction(acc, self.den)
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        # acc = sum c_i p^i q^(d-i) = q^d den value, d = deg self
+        acc, scale = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc * q, self.den * scale)
 
     def compose_neg(self) -> "Polynomial":
         """p(-X)."""
-        return Polynomial(
-            -c if i % 2 else c for i, c in enumerate(self.coeffs)
-        )
+        return _raw(tuple(-c if i % 2 else c for i, c in enumerate(self.num)),
+                    self.den)
 
     # -- euclidean structure ----------------------------------------------
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading()
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            q = rem[i] / lead
-            quot[i - d] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] -= q * b
-        return Polynomial(quot), Polynomial(rem)
+        # m A = Q B + R with A = self.num, B = other.num, so
+        # self = (Q other.den / (m self.den)) other + R / (m self.den)
+        quot, rem, m = _pseudo_divmod(self.num, other.num)
+        return (Polynomial.from_numerators([q * other.den for q in quot],
+                                           m * self.den),
+                Polynomial.from_numerators(rem, m * self.den))
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic-free gcd: returns the primitive, positive-leading gcd."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1].content_normalized()
-        if a.is_zero():
-            return a
-        return a.content_normalized()
+        """Monic-free gcd: returns the primitive, positive-leading gcd.
+
+        The common power of X comes out first.  When the rest is coprime
+        modulo a large prime it is coprime; otherwise a primitive
+        pseudo-remainder sequence on the integer numerators finds it.
+        """
+        a, b = _primitive(self.num), _primitive(other.num)
+        if a and b:
+            low_a = next(i for i, c in enumerate(a) if c)
+            low_b = next(i for i, c in enumerate(b) if c)
+            a, b = a[low_a:], b[low_b:]
+            if _coprime_modulo(a, b, _PRIME):
+                a, b = [1], []
+            elif len(a) < len(b):
+                a, b = b, a
+            while b:
+                a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+            a = [0] * min(low_a, low_b) + a
+        else:
+            a = a or b
+        if a and a[-1] < 0:
+            a = [-c for c in a]
+        return _raw(tuple(a), 1)
 
     def content(self) -> Fraction:
         """The positive rational c with self = c * (primitive integer poly)."""
         if self.is_zero():
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(math.gcd(*self.num), self.den)
 
     def content_normalized(self) -> "Polynomial":
         """Divide out the content and make the leading coefficient positive.
@@ -217,10 +258,10 @@ class Polynomial:
         """
         if self.is_zero():
             return self
-        c = self.content()
-        if self.leading() < 0:
-            c = -c
-        return self * (1 / c)
+        g = math.gcd(*self.num)
+        if self.num[-1] < 0:
+            g = -g
+        return _raw(tuple(c // g for c in self.num), 1)
 
     # -- serialization ----------------------------------------------------
 
@@ -253,6 +294,170 @@ class Polynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def _raw(num: tuple[int, ...], den: int) -> Polynomial:
+    """A Polynomial from numerators already in canonical form."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "num", num)
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _canonical(p: Polynomial, num: list[int], den: int) -> Polynomial:
+    """Fill p with num/den in canonical form; num is consumed."""
+    if not den:
+        raise ZeroDivisionError("polynomial with zero denominator")
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    else:
+        if den < 0:
+            den = -den
+            num = [-c for c in num]
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    object.__setattr__(p, "num", tuple(num))
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _add(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """a + sign * b over the lcm of the denominators."""
+    x, y = a.num, b.num
+    if a.den == b.den:
+        den = a.den
+    else:
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        x = [c * sa for c in x]
+        y = [c * sb for c in y]
+    if len(x) < len(y):
+        out = [c * sign for c in y]
+        for i, c in enumerate(x):
+            out[i] += c
+    else:
+        out = list(x)
+        for i, c in enumerate(y):
+            out[i] += sign * c
+    return Polynomial.from_numerators(out, den)
+
+
+def _mul_vectors(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient vectors.
+
+    Kronecker substitution: each vector becomes one integer, its digits
+    the coefficients in base 2^k, where k bounds every product coefficient
+    with room for a sign; one integer product (Karatsuba in CPython) then
+    holds the product's coefficients as digits.  Digits are offset by
+    2^(k-1) in byte form, so packing and unpacking are single
+    ``to_bytes``/``from_bytes`` passes.
+    """
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < _SCHOOLBOOK_LENGTH:
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a):
+                    out[i + j] += x * y
+        return out
+    bits = (max(max(a), -min(a)).bit_length()
+            + max(max(b), -min(b)).bit_length()
+            + len(b).bit_length() + 1)
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    length = len(a) + len(b) - 1
+    packed_a = _pack(a, width, half)
+    packed_b = packed_a if b is a else _pack(b, width, half)
+    digits = (packed_a * packed_b + _offset(length, width)).to_bytes(
+        width * length, "little")
+    return [int.from_bytes(digits[i:i + width], "little") - half
+            for i in range(0, width * length, width)]
+
+
+def _offset(length: int, width: int) -> int:
+    """sum of 2^(8 width - 1) 2^(8 width i) for i < length."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+
+
+def _pack(v: Sequence[int], width: int, half: int) -> int:
+    """sum v[i] 2^(8 width i), for |v[i]| < half = 2^(8 width - 1)."""
+    return int.from_bytes(
+        b"".join((c + half).to_bytes(width, "little") for c in v),
+        "little") - _offset(len(v), width)
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]
+                   ) -> tuple[list[int], list[int], int]:
+    """Integer (Q, R, m) with m a = Q b + R, deg R < deg b and m != 0.
+
+    Each step scales by the leading coefficient of b divided by its gcd
+    with the term it removes, so exact divisions scale by nothing.
+    """
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * max(0, len(rem) - db)
+    m = 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem.pop()
+        if not c:
+            continue
+        g = math.gcd(c, lead)
+        scale, q = lead // g, c // g
+        if scale != 1:
+            rem = [x * scale for x in rem]
+            quot = [x * scale for x in quot]
+            m *= scale
+        quot[i - db] = q
+        base = i - db
+        for j in range(db):
+            rem[base + j] -= q * b[j]
+    return quot, rem, m
+
+
+def _coprime_modulo(a: list[int], b: list[int], p: int) -> bool:
+    """True when a and b, reduced modulo the prime p, have a constant gcd
+    and p does not divide the leading coefficient of a or of b.
+
+    Then a and b are coprime over the rationals: their gcd g divides that
+    leading coefficient, so g keeps its degree modulo p and divides the
+    gcd there.
+    """
+    if not a[-1] % p:
+        a, b = b, a
+        if not a[-1] % p:
+            return False
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inverse = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a.pop() * inverse % p
+            base = len(a) - len(b) + 1
+            for j in range(len(b) - 1):
+                a[base + j] = (a[base + j] - q * b[j]) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _primitive(v: Sequence[int]) -> list[int]:
+    """v divided by the gcd of its entries, trailing zeros dropped."""
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    g = math.gcd(*v)
+    return [c // g for c in v] if g > 1 else v
 
 
 def _as_poly(value) -> Polynomial:
@@ -489,18 +694,19 @@ _laguerre_cache: list[Polynomial] = [ONE]
 
 
 def laguerre(n: int) -> Polynomial:
-    """Laguerre polynomial L_n.
+    """Laguerre polynomial L_n = sum_k (-1)^k C(n, k) X^k / k!.
 
-    Built from the Sheffer-sequence recurrence L_0 = 1,
-    L_j' = L_{j-1}' - L_{j-1} with L_j(0) = 1; the antiderivative constant 0
-    keeps the value at the origin equal to 1 automatically.
+    Built from the closed form over the denominator n!, where the X^k
+    numerator is (-1)^k C(n, k) n!/k!.
     """
     if n < 0:
         raise ValueError("Laguerre index must be nonnegative")
     with _laguerre_lock:
         while len(_laguerre_cache) <= n:
-            prev = _laguerre_cache[-1]
-            _laguerre_cache.append(prev - prev.antiderivative(0))
+            j = len(_laguerre_cache)
+            _laguerre_cache.append(Polynomial.from_numerators(
+                [(-1) ** k * math.comb(j, k) * math.perm(j, j - k)
+                 for k in range(j + 1)], math.factorial(j)))
         return _laguerre_cache[n]
 
 

@@ -3,8 +3,9 @@
 Every computation in the library is reachable as a subcommand with
 deterministic output: rationals print as "p/q", polynomial JSON lists run
 lowest degree first, and pretty polynomial output runs highest degree
-first.  Exit codes: 0 success, 1 computation refused (size caps, mismatch),
-2 malformed input.
+first.  Exit codes: 0 success, 1 computation refused (size caps, mismatch,
+an internal MemoryError, RecursionError or OverflowError), 2 malformed
+input.
 """
 
 from __future__ import annotations
@@ -18,11 +19,20 @@ from pathlib import Path
 from .errors import DisplabError, ParseError, SizeLimitError
 
 DEFAULT_MAX_ORDER = 20
+# the largest accepted `gram --catalan/--laguerre N` (`gram --catalan 100`
+# takes about 1.5 s) and `nonstrict --max-size N`
+GRAM_SIZE_LIMIT = 100
+MAX_SIZE_LIMIT = 10_000
 
 
 def _at_least(value: int, least: int, option: str) -> None:
     if value < least:
         raise ParseError(f"{option} must be at least {least}, got {value}")
+
+
+def _at_most(value: int, most: int, option: str) -> None:
+    if value > most:
+        raise SizeLimitError(f"{option} {value} exceeds the cap {most}")
 
 
 def _max_order(args) -> int:
@@ -194,11 +204,13 @@ def _cmd_gram(args) -> int:
         raise ParseError("give exactly one of --catalan or --laguerre")
     if args.catalan is not None:
         _at_least(args.catalan, 1, "--catalan")
+        _at_most(args.catalan, GRAM_SIZE_LIMIT, "--catalan")
         polys = [catalan_polynomial(k) for k in range(1, args.catalan + 1)]
         labels = [f"C{k}" for k in range(1, args.catalan + 1)]
         matrix = gram(polys, flip_sign=True, labels=labels)
     else:
         _at_least(args.laguerre, 1, "--laguerre")
+        _at_most(args.laguerre, GRAM_SIZE_LIMIT, "--laguerre")
         polys = [laguerre(k) for k in range(args.laguerre)]
         labels = [f"L{k}" for k in range(args.laguerre)]
         matrix = gram(polys, labels=labels)
@@ -220,6 +232,7 @@ def _cmd_nonstrict(args) -> int:
     if not sources:
         raise ParseError("at least one --family or --file is required")
     _at_least(args.max_size, 1, "--max-size")
+    _at_most(args.max_size, MAX_SIZE_LIMIT, "--max-size")
     rows = []
     cap = _max_order(args)
     for src in sources:
@@ -520,6 +533,11 @@ def main(argv=None) -> int:
         return 2
     except DisplabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, RecursionError, OverflowError) as exc:
+        # resources ran out inside a computation: refused, like a size cap
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 1
 
 

@@ -160,19 +160,25 @@ def companion_from_counters(d: SimpleDigraph, v: int,
     if horizon < n - 1:
         raise ValueError("horizon must be at least n - 1")
     counters = counters_along_path(d, v, horizon, reverse=reverse)
-    coeffs = []
-    for i in range(horizon + 1):
-        t = Fraction(0)
-        for j in range(i + 1):
-            t += (Fraction(counters[j], math.factorial(j))
-                  * Fraction((-1) ** (i - j), math.factorial(i - j)))
-        coeffs.append(t)
+    # i! t_i = sum_j C(i, j) (-1)^(i-j) sigma_j, an integer
+    scaled = [sum((-1) ** (i - j) * math.comb(i, j) * counters[j]
+                  for j in range(i + 1))
+              for i in range(horizon + 1)]
     for i in range(n, horizon + 1):
-        if coeffs[i] != 0:
+        if scaled[i] != 0:
             raise DeconvolutionTailError(
-                f"deconvolution coefficient {i} = {coeffs[i]} should vanish")
-    return CompanionResult(Polynomial(coeffs[:n]), tuple(counters), v,
+                f"deconvolution coefficient {i} = "
+                f"{Fraction(scaled[i], math.factorial(i))} should vanish")
+    return CompanionResult(_over_factorials(scaled[:n]), tuple(counters), v,
                            dual=reverse)
+
+
+def _over_factorials(scaled: list[int]) -> Polynomial:
+    """sum_i scaled[i] X^i / i!, over the one denominator (len - 1)!."""
+    top = len(scaled) - 1
+    return Polynomial.from_numerators(
+        [s * math.perm(top, top - i) for i, s in enumerate(scaled)],
+        math.factorial(max(top, 0)))
 
 
 def companion_by_heights(d: SimpleDigraph, v: int,
@@ -187,10 +193,9 @@ def companion_by_heights(d: SimpleDigraph, v: int,
     if reverse:
         heights = heights[::-1]
     n = len(heights)
-    poly = Polynomial(
-        Fraction(sum(c * math.comb(k, i) for k, c in enumerate(heights)),
-                 math.factorial(i))
-        for i in range(n))
+    poly = _over_factorials(
+        [sum(c * math.comb(k, i) for k, c in enumerate(heights))
+         for i in range(n)])
     counters = tuple(sum(c * math.comb(k + i, i)
                          for k, c in enumerate(heights))
                      for i in range(n))
@@ -399,18 +404,20 @@ def staircase_companion(n: int) -> Polynomial:
     """Companion polynomial of the zigzag digraph S_n at v1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return Polynomial(_staircase_coefficients(n, n - 1))
+    return _over_factorials(_staircase_coefficients(n, n - 1))
 
 
-def _staircase_coefficients(n: int, horizon: int) -> list[Fraction]:
-    """a(n, i) for i = 0..horizon by deconvolution of the f(n, .) row."""
-    coeffs: list[Fraction] = []
+def _staircase_coefficients(n: int, horizon: int) -> list[int]:
+    """i! a(n, i) for i = 0..horizon by deconvolution of the f(n, .) row.
+
+    a(n, i) = f(n, i)/i! - sum_{k<i} a(n, k)/(i-k)!, so the scaled values
+    s_i = i! a(n, i) satisfy s_i = f(n, i) - sum_{k<i} C(i, k) s_k.
+    """
+    scaled: list[int] = []
     for i in range(horizon + 1):
-        t = Fraction(staircase_path_counter(n, i), math.factorial(i))
-        for k in range(i):
-            t -= coeffs[k] / math.factorial(i - k)
-        coeffs.append(t)
-    return coeffs
+        scaled.append(staircase_path_counter(n, i)
+                      - sum(math.comb(i, k) * s for k, s in enumerate(scaled)))
+    return scaled
 
 
 def staircase_data(n: int, horizon: int | None = None) -> StaircaseData:
@@ -422,29 +429,17 @@ def staircase_data(n: int, horizon: int | None = None) -> StaircaseData:
     # for a short row
     full = _staircase_coefficients(n, max(horizon, n - 1))
     f_row = tuple(staircase_path_counter(n, i) for i in range(horizon + 1))
-    a = tuple(full[: horizon + 1])
-    s_gen = []
-    for i, ai in enumerate(a):
-        value = ai * math.factorial(i)
-        if value.denominator != 1:
-            raise AssertionError(f"i! a({n},{i}) = {value} is not integral")
-        s_gen.append(int(value))
+    s_gen = tuple(full[: horizon + 1])
+    a = tuple(Fraction(s, math.factorial(i)) for i, s in enumerate(s_gen))
     if n >= 1:
-        poly = Polynomial(full[:n])
+        poly = _over_factorials(full[:n])
         raw = laguerre_basis_decompose(poly.compose_neg(), n - 1)
         g = tuple((-1) ** i * c for i, c in enumerate(raw))
     else:
         g = ()
-    return StaircaseData(n, f_row, a, tuple(s_gen), g)
+    return StaircaseData(n, f_row, a, s_gen, g)
 
 
 def generalized_zigzag(i: int, count_values: int) -> list[int]:
     """The order-i generalized zigzag numbers i! a(n, i) for n = 0..count-1."""
-    out = []
-    for n in range(count_values):
-        a = _staircase_coefficients(n, i)
-        value = a[i] * math.factorial(i)
-        if value.denominator != 1:
-            raise AssertionError("generalized zigzag number is not integral")
-        out.append(int(value))
-    return out
+    return [_staircase_coefficients(n, i)[i] for n in range(count_values)]

@@ -156,7 +156,7 @@ def _from_binomial_basis(coeffs: tuple[int, ...]) -> Polynomial:
         for j, f in enumerate(falling):
             scaled[j] += weight * f
         falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
-    return Polynomial(Fraction(x, math.factorial(n)) for x in scaled)
+    return Polynomial.from_numerators(scaled, math.factorial(n))
 
 
 def nonstrict_count(d: SimpleDigraph, i: int) -> int:

@@ -13,6 +13,7 @@ minors produces an ODE U Y'' + V Y' + W Y = 0 satisfied by P.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .algebra import (ONE, Polynomial, TruncatedSeries, X, ZERO, laguerre,
@@ -36,7 +37,7 @@ class Ode2:
     __slots__ = ("u", "v", "w")
 
     def __init__(self, u, v, w):
-        u, v, w = Polynomial(_coeffs(u)), Polynomial(_coeffs(v)), Polynomial(_coeffs(w))
+        u, v, w = _as_polynomial(u), _as_polynomial(v), _as_polynomial(w)
         if u.is_zero() and v.is_zero() and w.is_zero():
             raise ValueError("U, V, W cannot all be zero")
         g = _triple_gcd(u, v, w)
@@ -44,11 +45,14 @@ class Ode2:
             u = u.divmod(g)[0]
             v = v.divmod(g)[0]
             w = w.divmod(g)[0]
-        c = Polynomial(u.coeffs + v.coeffs + w.coeffs).content()
+        # the joint content is gcd(numerators) / lcm(denominators)
+        top = math.gcd(*u.num, *v.num, *w.num)
+        den = math.lcm(u.den, v.den, w.den)
         first = next(p for p in (u, v, w) if not p.is_zero())
-        if first.leading() < 0:
-            c = -c
-        u, v, w = u * (1 / c), v * (1 / c), w * (1 / c)
+        if first.num[-1] < 0:
+            top = -top
+        u, v, w = (Polynomial.from_numerators(
+            [c // top * (den // p.den) for c in p.num]) for p in (u, v, w))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
@@ -105,10 +109,10 @@ class Ode2:
         return out + " = 0"
 
 
-def _coeffs(p):
+def _as_polynomial(p) -> Polynomial:
     if isinstance(p, Polynomial):
-        return p.coeffs
-    return p.coeffs if hasattr(p, "coeffs") else tuple(p)
+        return p
+    return Polynomial(p.coeffs if hasattr(p, "coeffs") else p)
 
 
 def _triple_gcd(u, v, w) -> Polynomial:

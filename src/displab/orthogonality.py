@@ -6,7 +6,7 @@ rational sum; no numerics anywhere.
 
 from __future__ import annotations
 
-import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -14,10 +14,32 @@ from .algebra import Polynomial, format_rational, laguerre, monomial, pochhammer
 
 
 def laguerre_inner(p: Polynomial, q: Polynomial) -> Fraction:
-    """<p, q> = integral of p q exp(-x) over [0, inf) = sum c_k k!."""
-    prod = p * q
-    return sum((c * math.factorial(k) for k, c in enumerate(prod.coeffs)),
-               Fraction(0))
+    """<p, q> = integral of p q exp(-x) over [0, inf) = sum c_k k!.
+
+    With p = P/d and q = Q/e this is sum_j Q_j m_j / (d e), where
+    m_j = sum_i P_i (i+j)! is p's moment vector, so the product p q is
+    never formed.
+    """
+    moments = _moments(p, len(q.num))
+    return Fraction(sum(map(operator.mul, q.num, moments)), p.den * q.den)
+
+
+def _moments(p: Polynomial, count: int) -> list[int]:
+    """[sum_i P_i (i+j)! for j < count], P the numerators of p.
+
+    Each is j! S(j) with S(j) = sum_i P_i (j+1)(j+2)...(j+i), and S(j) by
+    Horner's rule multiplies only by the small integers j+i.
+    """
+    num = p.num
+    out = []
+    factorial = 1  # j!
+    for j in range(count):
+        acc = 0
+        for i in range(len(num) - 1, 0, -1):
+            acc = (acc + num[i]) * (j + i)
+        out.append((acc + num[0]) * factorial if num else 0)
+        factorial *= j + 1
+    return out
 
 
 def moment_xi_djLn(i: int, j: int, n: int) -> Fraction:
@@ -60,10 +82,17 @@ def gram(polys: Sequence[Polynomial], flip_sign: bool = False,
     ps = [p.compose_neg() if flip_sign else p for p in polys]
     if labels is None:
         labels = [f"p{i + 1}" for i in range(len(ps))]
-    entries = tuple(
-        tuple(laguerre_inner(ps[i], ps[j]) for j in range(len(ps)))
-        for i in range(len(ps)))
-    return GramMatrix(entries, tuple(labels))
+    # each member's moment vector once, then one dot product per entry
+    # on and above the diagonal
+    longest = max((len(p.num) for p in ps), default=0)
+    moments = [_moments(p, longest) for p in ps]
+    rows = [[Fraction(0)] * len(ps) for _ in ps]
+    for i, p in enumerate(ps):
+        for j in range(i, len(ps)):
+            q = ps[j]
+            rows[i][j] = rows[j][i] = Fraction(
+                sum(map(operator.mul, q.num, moments[i])), p.den * q.den)
+    return GramMatrix(tuple(map(tuple, rows)), tuple(labels))
 
 
 def maximality_witness(family: Sequence[Polynomial], odd_degree: int) -> Fraction:

@@ -262,3 +262,205 @@ def test_series_derivative_and_truncate():
 def test_monomial_and_factorial():
     assert monomial(3, 2) == Polynomial((0, 0, 0, 2))
     assert factorial(5) == 120
+
+
+# -- the integer representation ---------------------------------------------
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def rand_vector(rng, length, bits):
+    v = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, bits))
+         for _ in range(length)]
+    if length > 2 and rng.random() < 0.3:
+        # a run of zeros in the middle
+        lo = rng.randrange(1, length - 1)
+        hi = rng.randrange(lo, length - 1)
+        v[lo:hi + 1] = [0] * (hi + 1 - lo)
+    if not v[-1]:
+        v[-1] = rng.choice((-1, 1))
+    return v
+
+
+def test_kronecker_product_matches_schoolbook():
+    rng = random.Random(7)
+    for trial in range(300):
+        a = rand_vector(rng, rng.randint(1, 70), rng.choice((1, 8, 64, 2000)))
+        b = rand_vector(rng, rng.randint(1, 70), rng.choice((1, 8, 64, 2000)))
+        p, q = Polynomial.from_numerators(a), Polynomial.from_numerators(b)
+        assert list((p * q).num) == schoolbook(a, b), trial
+        assert list((p * p).num) == schoolbook(a, a), trial
+    # extreme coefficients reach the digit bound for every byte alignment
+    for length in (16, 31, 63, 70):
+        for bits in range(1, 41):
+            top = (1 << bits) - 1
+            for a, b in (([top] * length, [top] * length),
+                         ([-top] * length, [top] * 17)):
+                p, q = Polynomial.from_numerators(a), Polynomial.from_numerators(b)
+                assert list((p * q).num) == schoolbook(a, b), (length, bits)
+
+
+def test_products_over_denominators():
+    rng = random.Random(8)
+    for _ in range(60):
+        p, q = rand_poly(rng, 12), rand_poly(rng, 12)
+        expected = [sum((p.coefficient(i) * q.coefficient(k - i)
+                         for i in range(k + 1)), Fraction(0))
+                    for k in range(p.degree + q.degree + 1)]
+        assert p * q == Polynomial(expected)
+
+
+def assert_canonical(p):
+    import math
+    assert p.den > 0
+    assert all(type(c) is int for c in p.num)
+    if p.num:
+        assert p.num[-1] != 0
+        assert math.gcd(p.den, *p.num) == 1
+    else:
+        assert p.den == 1
+    assert Polynomial(p.coeffs) == p
+    assert hash(Polynomial(p.coeffs)) == hash(p)
+
+
+def test_canonical_form_on_every_path():
+    rng = random.Random(9)
+    for _ in range(60):
+        p, q = rand_poly(rng), rand_poly(rng)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for r in (p, p + q, p - q, p * q, c * p, p * 6, -p, p - p,
+                  p.derivative(), p.antiderivative(c), p.compose_neg(),
+                  p.content_normalized(), q.gcd(p)):
+            assert_canonical(r)
+    assert Polynomial().num == () and Polynomial().den == 1
+
+
+def test_equal_values_from_different_paths_compare_and_hash_equal():
+    half = Polynomial((Fraction(1, 2), Fraction(3, 2)))
+    paths = [
+        half,
+        Polynomial(("1/2", "3/2", 0, 0)),
+        Polynomial((1, 3)) * Fraction(1, 2),
+        Polynomial((1, 3)) / 2,
+        Polynomial.from_numerators([3, 9], 6),
+        Polynomial.from_numerators([-1, -3, 0], -2),
+        (Polynomial((Fraction(1, 2), 5, Fraction(1, 3)))
+         - Polynomial((0, Fraction(7, 2), Fraction(1, 3)))),
+        Polynomial((0, Fraction(1, 2), Fraction(3, 4))).derivative(),
+        Polynomial((Fraction(1, 4), Fraction(3, 4))) * 2,
+    ]
+    for p in paths:
+        assert p == half and hash(p) == hash(half), p
+        assert (p.num, p.den) == ((1, 3), 2)
+    zero = Polynomial((Fraction(1, 3),)) - Polynomial((Fraction(2, 6),))
+    assert zero == Polynomial() and hash(zero) == hash(Polynomial())
+    assert (zero.num, zero.den) == ((), 1)
+    assert half * Fraction(0) == Polynomial()
+
+
+def test_polynomial_holds_no_fraction():
+    p = Polynomial((Fraction(1, 2), 3))
+    assert set(Polynomial.__slots__) == {"num", "den"}
+    assert p.num == (1, 6) and p.den == 2
+    with pytest.raises(AttributeError):
+        p.num = (1,)
+
+
+def fraction_euclid_gcd(a, b):
+    """Euclid's algorithm on Fraction coefficient lists, highest degree last,
+    made primitive with a positive leading coefficient at the end."""
+    import math
+
+    def trim(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        rem = list(a)
+        while len(rem) >= len(b):
+            q = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            for j, y in enumerate(b):
+                rem[shift + j] -= q * y
+            rem.pop()
+            trim(rem)
+        a, b = b, rem
+    if not a:
+        return []
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * den) for c in a]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // g for c in ints]
+
+
+def test_gcd_agrees_with_fraction_euclid():
+    rng = random.Random(10)
+    for trial in range(120):
+        # planted factors of degree 0 to 4, times powers of X
+        g = rand_poly(rng, 4, zero_ok=False) * monomial(rng.randint(0, 2))
+        p = rand_poly(rng, 8) * g * monomial(rng.randint(0, 2))
+        q = rand_poly(rng, 8) * g
+        got = p.gcd(q)
+        assert got.den == 1, trial
+        assert list(got.num) == fraction_euclid_gcd(p.coeffs, q.coeffs), trial
+        # the planted factor divides the result
+        assert p.is_zero() and q.is_zero() or got.divmod(g)[1].is_zero()
+
+
+def test_divmod_reconstructs_the_dividend():
+    rng = random.Random(11)
+    for _ in range(60):
+        a = rand_poly(rng, 9)
+        b = rand_poly(rng, 5, zero_ok=False)
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+
+def test_eval_at_rationals_matches_fraction_horner():
+    rng = random.Random(12)
+    for _ in range(60):
+        p = rand_poly(rng, 8)
+        for x in (rng.randint(-20, 20),
+                  Fraction(rng.randint(-20, 20), rng.randint(1, 9))):
+            expected = Fraction(0)
+            for c in reversed(p.coeffs):
+                expected = expected * x + c
+            assert p(x) == expected and type(p(x)) is Fraction
+
+
+def test_laguerre_closed_form_matches_antiderivative_recurrence():
+    # L_j' = L_{j-1}' - L_{j-1} with L_j(0) = 1
+    prev = Polynomial((1,))
+    assert laguerre(0) == prev
+    for n in range(1, 41):
+        prev = prev - prev.antiderivative(0)
+        assert laguerre(n) == prev, n
+
+
+def test_inner_products_match_the_explicit_product():
+    import math
+
+    from displab.orthogonality import gram, laguerre_inner
+
+    def explicit(p, q):
+        return sum((c * math.factorial(k) for k, c in enumerate((p * q).coeffs)),
+                   Fraction(0))
+
+    rng = random.Random(13)
+    polys = [rand_poly(rng, 9) for _ in range(8)] + [laguerre(5), Polynomial()]
+    for p in polys:
+        for q in polys:
+            assert laguerre_inner(p, q) == explicit(p, q)
+    for flip in (False, True):
+        matrix = gram(polys, flip_sign=flip)
+        ps = [p.compose_neg() if flip else p for p in polys]
+        assert matrix.entries == tuple(tuple(explicit(p, q) for q in ps)
+                                       for p in ps)

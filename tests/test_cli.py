@@ -428,3 +428,48 @@ def test_oversized_digraph_refused_before_building(tmp_path, argv):
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 1 and proc.stdout == "", proc.stderr
     assert proc.stderr.startswith("error:") and "max-order" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("nonstrict", "--family", "path:3", "--max-size", "10001"), "--max-size"),
+    (("nonstrict", "--family", "path:3", "--max-size", "100000000"),
+     "--max-size"),
+    (("gram", "--catalan", "101"), "--catalan"),
+    (("gram", "--laguerre", "1000000000000", "--format", "json"),
+     "--laguerre"),
+])
+def test_size_above_cap_refused_before_computing(argv, option):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith(f"error: {option} ") and "cap" in proc.stderr
+
+
+def test_sizes_at_the_caps_are_accepted(capsys):
+    code, out, _ = run(capsys, "nonstrict", "--family", "path:2",
+                       "--max-size", "10000", "--format", "json")
+    assert code == 0 and json.loads(out)["path:2"][-1] == 10000 * 10001 // 2
+    code, out, _ = run(capsys, "gram", "--laguerre", "100")
+    rows = out.splitlines()
+    assert code == 0 and len(rows) == 101
+    assert rows[-1].split(",")[-1] == "1"
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError, ""),
+    (MemoryError, "cannot allocate"),
+    (RecursionError, "maximum recursion depth exceeded"),
+    (OverflowError, "int too large to convert"),
+])
+def test_internal_errors_exit_one_without_traceback(capsys, monkeypatch,
+                                                    error, message):
+    def handler(args):
+        raise error(message)
+
+    help_text, add_options, _ = COMMANDS["count"]
+    monkeypatch.setitem(COMMANDS, "count", (help_text, add_options, handler))
+    code, out, err = run(capsys, "count", "--family", "path:3")
+    detail = f": {message}" if message else ""
+    assert code == 1 and out == ""
+    assert err == f"error: {error.__name__}{detail}\n"
