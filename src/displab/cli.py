@@ -10,11 +10,11 @@ input.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import DisplabError, ParseError, SizeLimitError
 
@@ -378,118 +378,154 @@ def _cmd_paper_tables(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_digraph_options(sub, multiple=False) -> None:
-    if multiple:
-        sub.add_argument("--family", action="append",
-                         help="family string such as staircase:7 or tworow:2,3")
-        sub.add_argument("--file", action="append",
-                         help="digraph file (text edge list or JSON)")
-    else:
-        sub.add_argument("--family",
-                         help="family string such as staircase:7 or tworow:2,3")
-        sub.add_argument("--file", help="digraph file (text edge list or JSON)")
-    sub.add_argument("--max-order", type=int, default=None,
-                     help="refuse digraphs larger than this "
-                          "(default 20, or DISPLAB_MAX_ORDER)")
+_FAMILY_HELP = "family string such as staircase:7 or tworow:2,3"
+_FILE_HELP = "digraph file (text edge list or JSON)"
+_MAX_ORDER = ("--max-order", {"type": int, "default": None,
+                              "help": "refuse digraphs larger than this "
+                                      "(default 20, or DISPLAB_MAX_ORDER)"})
+_DIGRAPH = (("--family", {"help": _FAMILY_HELP}),
+            ("--file", {"help": _FILE_HELP}),
+            _MAX_ORDER)
+_DIGRAPHS = (("--family", {"action": "append", "help": _FAMILY_HELP}),
+             ("--file", {"action": "append", "help": _FILE_HELP}),
+             _MAX_ORDER)
 
 
-def _add_format(sub, *choices: str) -> None:
-    sub.add_argument("--format", choices=choices, default=choices[0])
+def _format(*choices: str) -> tuple[str, dict]:
+    return ("--format", {"choices": choices, "default": choices[0]})
 
 
-def _count_options(sub) -> None:
-    _add_digraph_options(sub)
-    _add_format(sub, "pretty", "json")
-
-
-def _dispositions_options(sub) -> None:
-    _add_digraph_options(sub)
-    sub.add_argument("--cap", type=int, default=100_000,
-                     help="refuse to enumerate more dispositions than this")
-    _add_format(sub, "pretty", "json")
-
-
-def _companion_options(sub) -> None:
-    _add_digraph_options(sub)
-    sub.add_argument("--vertex", required=True,
-                     help="vertex label (v2, u1, ...) or 0-based index")
-    sub.add_argument("--dual", action="store_true",
-                     help="attach the path in reverse orientation")
-    sub.add_argument("--route", choices=("counters", "recurrence"),
-                     default="counters")
-    _add_format(sub, "pretty", "json")
-
-
-def _ode_options(sub) -> None:
-    sub.add_argument("--catalan", type=int, help="equal-rows equation index")
-    sub.add_argument("--tworow", help="n1,n2 for the two-row equation")
-    sub.add_argument("--staircase", type=int,
-                     help="zigzag companion equation index")
-    sub.add_argument("--laguerre", type=int, help="plain Laguerre equation")
-    sub.add_argument("--r", type=int, choices=(2, 3), default=2,
-                     help="attachment vertex for --catalan/--tworow")
-    _add_format(sub, "pretty", "json")
-
-
-def _gram_options(sub) -> None:
-    sub.add_argument("--catalan", type=int,
-                     help="first N Catalan polynomials, sign-flipped")
-    sub.add_argument("--laguerre", type=int, help="first N Laguerre polynomials")
-    _add_format(sub, "csv", "json")
-
-
-def _nonstrict_options(sub) -> None:
-    _add_digraph_options(sub, multiple=True)
-    sub.add_argument("--max-size", type=int, default=5,
-                     help="tabulate sizes 1..N")
-    _add_format(sub, "csv", "json")
-
-
-def _series_options(sub) -> None:
-    sub.add_argument("--kind", required=True,
-                     help="nspaths | nspath-size:J | exp:C | bessel:M,K")
-    sub.add_argument("--order", type=int, default=12)
-    _add_format(sub, "pretty", "json")
-
-
-def _extremal_options(sub) -> None:
-    sub.add_argument("--order", type=int, required=True)
-    sub.add_argument("--parallel", action="store_true",
-                     help="accepted and ignored (the search is serial)")
-
-
-def _families_options(sub) -> None:
-    sub.add_argument("--spec", required=True, help="family string")
-    sub.add_argument("--max-order", type=int, default=None)
-
-
-def _no_options(sub) -> None:
-    pass
-
-
-# subcommand name -> (help, adds its arguments, handler), in --help order
+# subcommand name -> (help, options, handler), in --help order; each option
+# is (flag, keyword arguments of add_argument), in --help order
 COMMANDS = {
-    "count": ("number of dispositions", _count_options, _cmd_count),
-    "dispositions": ("list every disposition", _dispositions_options,
-                     _cmd_dispositions),
-    "companion": ("companion polynomial at a vertex", _companion_options,
-                  _cmd_companion),
-    "ode": ("differential equation families", _ode_options, _cmd_ode),
-    "gram": ("Gram matrices under the exp(-x) weight", _gram_options,
-             _cmd_gram),
-    "nonstrict": ("non-strict counter table", _nonstrict_options,
-                  _cmd_nonstrict),
-    "series": ("exact truncated power series", _series_options, _cmd_series),
-    "extremal": ("maximize the counter over connected row-grid digraphs",
-                 _extremal_options, _cmd_extremal),
-    "families": ("build a named digraph family", _families_options,
-                 _cmd_families),
+    "count": ("number of dispositions",
+              (*_DIGRAPH, _format("pretty", "json")), _cmd_count),
+    "dispositions": (
+        "list every disposition",
+        (*_DIGRAPH,
+         ("--cap", {"type": int, "default": 100_000,
+                    "help": "refuse to enumerate more dispositions than "
+                            "this"}),
+         _format("pretty", "json")),
+        _cmd_dispositions),
+    "companion": (
+        "companion polynomial at a vertex",
+        (*_DIGRAPH,
+         ("--vertex", {"required": True,
+                       "help": "vertex label (v2, u1, ...) or 0-based "
+                               "index"}),
+         ("--dual", {"action": "store_true",
+                     "help": "attach the path in reverse orientation"}),
+         ("--route", {"choices": ("counters", "recurrence"),
+                      "default": "counters"}),
+         _format("pretty", "json")),
+        _cmd_companion),
+    "ode": (
+        "differential equation families",
+        (("--catalan", {"type": int, "help": "equal-rows equation index"}),
+         ("--tworow", {"help": "n1,n2 for the two-row equation"}),
+         ("--staircase", {"type": int,
+                          "help": "zigzag companion equation index"}),
+         ("--laguerre", {"type": int, "help": "plain Laguerre equation"}),
+         ("--r", {"type": int, "choices": (2, 3), "default": 2,
+                  "help": "attachment vertex for --catalan/--tworow"}),
+         _format("pretty", "json")),
+        _cmd_ode),
+    "gram": (
+        "Gram matrices under the exp(-x) weight",
+        (("--catalan", {"type": int,
+                        "help": "first N Catalan polynomials, "
+                                "sign-flipped"}),
+         ("--laguerre", {"type": int,
+                         "help": "first N Laguerre polynomials"}),
+         _format("csv", "json")),
+        _cmd_gram),
+    "nonstrict": (
+        "non-strict counter table",
+        (*_DIGRAPHS,
+         ("--max-size", {"type": int, "default": 5,
+                         "help": "tabulate sizes 1..N"}),
+         _format("csv", "json")),
+        _cmd_nonstrict),
+    "series": (
+        "exact truncated power series",
+        (("--kind", {"required": True,
+                     "help": "nspaths | nspath-size:J | exp:C | "
+                             "bessel:M,K"}),
+         ("--order", {"type": int, "default": 12}),
+         _format("pretty", "json")),
+        _cmd_series),
+    "extremal": (
+        "maximize the counter over connected row-grid digraphs",
+        (("--order", {"type": int, "required": True}),
+         ("--parallel", {"action": "store_true",
+                         "help": "accepted and ignored (the search is "
+                                 "serial)"})),
+        _cmd_extremal),
+    "families": (
+        "build a named digraph family",
+        (("--spec", {"required": True, "help": "family string"}),
+         ("--max-order", {"type": int, "default": None})),
+        _cmd_families),
     "paper-tables": ("recompute the reference tables and diff against the "
-                     "checked-in fixtures", _no_options, _cmd_paper_tables),
+                     "checked-in fixtures", (), _cmd_paper_tables),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _parse(argv: list[str]):
+    """What ``build_parser(argv[0]).parse_args(argv)`` returns, for a
+    well-formed command line, without importing argparse; None otherwise.
+
+    Well-formed means: a subcommand name, then flags each spelled out in
+    full, a value after each flag that takes one, never starting with "-"
+    and passing the flag's type and choices, no flag but an appended one
+    given twice, and every required flag given.  Everything else (help,
+    abbreviations, --flag=value, negative numbers, errors) is left to
+    argparse, so its output cannot change.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, options, handler = COMMANDS[argv[0]]
+    declared = {flag: (flag[2:].replace("-", "_"), spec)
+                for flag, spec in options}
+    values = {dest: spec.get("default", False if spec.get("action")
+                              == "store_true" else None)
+              for dest, spec in declared.values()}
+    given = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in declared:
+            return None
+        dest, spec = declared[flag]
+        action = spec.get("action")
+        if action != "append" and flag in given:
+            return None
+        given.add(flag)
+        if action == "store_true":
+            values[dest] = True
+            continue
+        # a missing value reads as "-", which argparse must report
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if action == "append":
+            values[dest] = (values[dest] or []) + [value]
+        else:
+            values[dest] = value
+    if any(spec.get("required") and flag not in given
+           for flag, spec in options):
+        return None
+    return SimpleNamespace(command=argv[0], func=handler, **values)
+
+
+def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
     """The CLI parser.
 
     Given a known subcommand name, only that subcommand is registered, which
@@ -497,6 +533,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     the same as the full parser's.  Any other ``command`` (None, unknown)
     registers all of them.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="displab",
         description="Exact counters, companion polynomials and differential "
@@ -513,9 +551,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  metavar=metavar)
     for name in names:
-        help_text, add_options, handler = COMMANDS[name]
+        help_text, options, handler = COMMANDS[name]
         sub = subs.add_parser(name, help=help_text)
-        add_options(sub)
+        for flag, spec in options:
+            sub.add_argument(flag, **spec)
         sub.set_defaults(func=handler)
     return parser
 
@@ -523,8 +562,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValueError) as exc:

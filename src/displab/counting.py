@@ -133,13 +133,24 @@ class CounterTable(_PeelTable):
             for c in comps:
                 total *= self.sigma(c)
             return total
+        return self._peel(mask)
+
+    def _peel(self, mask: int) -> int:
+        """sigma of a connected mask missing from the memo."""
         self._spend()
-        blocked = self._blocked
+        blocked, nbr, memo = self._blocked, self._nbr, self.memo
         total = 0
         for u in iter_mask(mask):
             if blocked[u] & mask == 0:
-                total += self.sigma(mask & ~(1 << u))
-        self.memo[mask] = total
+                child = mask & ~(1 << u)
+                near = nbr[u] & child
+                if near & (near - 1):
+                    total += self.sigma(child)
+                else:
+                    # u was a leaf, so the child is connected too
+                    got = memo.get(child)
+                    total += self._peel(child) if got is None else got
+        memo[mask] = total
         return total
 
     def _count(self, mask: int) -> int:

@@ -376,6 +376,24 @@ print([m for m in {unused!r} if m in sys.modules and m not in at_start])
     assert out.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--family", "path:3"],
+    ["families", "--spec", "path:1"],
+    ["extremal", "--order", "4"],
+    ["nonstrict", "--family", "path:3", "--max-size", "4"],
+])
+def test_well_formed_commands_load_no_argparse(argv):
+    out = fresh_python(f"""
+import sys
+at_start = set(sys.modules)
+from displab import cli
+cli.main({argv!r})
+print([m for m in ("argparse", "gettext", "locale")
+       if m in sys.modules and m not in at_start])
+""")
+    assert out.splitlines()[-1] == "[]"
+
+
 def run_cli(*argv, timeout=60):
     """`python -m displab.cli argv...` in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -467,8 +485,8 @@ def test_internal_errors_exit_one_without_traceback(capsys, monkeypatch,
     def handler(args):
         raise error(message)
 
-    help_text, add_options, _ = COMMANDS["count"]
-    monkeypatch.setitem(COMMANDS, "count", (help_text, add_options, handler))
+    help_text, options, _ = COMMANDS["count"]
+    monkeypatch.setitem(COMMANDS, "count", (help_text, options, handler))
     code, out, err = run(capsys, "count", "--family", "path:3")
     detail = f": {message}" if message else ""
     assert code == 1 and out == ""

@@ -259,6 +259,13 @@ def test_memo_states_stay_below_order_squared():
         assert len(peeled_table(d).memo) <= d.n ** 2
 
 
+def test_leaf_peels_keep_the_memo_states():
+    # a leaf's child skips the component search but is the same state
+    for d, states in ((make_two_row(28, 30), 747), (make_star(17), 70),
+                      (make_staircase(22), 140)):
+        assert len(peeled_table(d).memo) == states
+
+
 def test_state_cap_refuses(tmp_path, capsys, monkeypatch):
     d = random_acyclic_digraph(random.Random(33), 30, 0.2)
     assert len(peeled_table(d).memo) > 64

@@ -6,7 +6,8 @@ import pytest
 
 from displab.counting import count
 from displab.errors import SizeLimitError
-from displab.extremal import (enumerate_connected_dispositional, iso_check,
+from displab.extremal import (_GridCounter, _row_grids,
+                              enumerate_connected_dispositional, iso_check,
                               max_counter_search)
 from displab.families import (DispositionalSpec, make_dispositional,
                               make_empty, make_path, make_staircase, make_star,
@@ -43,7 +44,51 @@ def test_enumerate_all_connected_and_deduplicated():
 
 def test_enumerate_size_cap():
     with pytest.raises(SizeLimitError):
-        list(enumerate_connected_dispositional(9))
+        list(enumerate_connected_dispositional(12))
+
+
+def test_grid_counter_matches_count():
+    for m in range(1, 9):
+        grid = _GridCounter(m)
+        for rows, cells in _row_grids(m):
+            d = make_dispositional(DispositionalSpec(rows))
+            assert grid.connected(cells) == count(d), rows
+    # every translate of a connected grid shares one memo entry
+    assert len(grid.memo) == 2931
+
+
+def _cells(spec):
+    cells, start = set(), 0
+    for r, (length, shift) in enumerate(spec.rows):
+        start += shift
+        cells |= {(r, c) for c in range(start, start + length)}
+    return cells
+
+
+def _spec_of(cells):
+    """The spec of a set of cells whose rows are runs of columns."""
+    rows, prev = [], None
+    for r in sorted({r for r, _ in cells}):
+        cols = sorted(c for row, c in cells if row == r)
+        assert cols == list(range(cols[0], cols[-1] + 1))
+        rows.append((len(cols), 0 if prev is None else cols[0] - prev))
+        prev = cols[0]
+    return DispositionalSpec(tuple(rows))
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_search_beyond_iso_limit(m):
+    report = max_counter_search(m)
+    assert report.max_counter == staircase_counter(m)
+    stair = _cells(staircase_spec(m))
+    # a half turn of the grid gives the reversed digraph, a mirror image in
+    # the main diagonal the same digraph; the zigzag of odd order is its own
+    # mirror image, that of even order its own half turn
+    turned = _spec_of({(-r, -c) for r, c in stair})
+    mirrored = _spec_of({(c, r) for r, c in stair})
+    assert (set(report.argmax_specs)
+            == {staircase_spec(m), turned, mirrored})
+    assert len(report.argmax_specs) == 2
 
 
 def test_search_small_orders():
