@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 from .combinatorics import binomial, factorial, multinomial  # noqa: F401
 
-Rational = Fraction
-
 
 # ---------------------------------------------------------------------------
 # combinatorial primitives (the integer ones live in .combinatorics)

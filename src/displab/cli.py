@@ -20,9 +20,11 @@ from .errors import DisplabError, ParseError, SizeLimitError
 
 DEFAULT_MAX_ORDER = 20
 # the largest accepted `gram --catalan/--laguerre N` (`gram --catalan 100`
-# takes about 1.5 s) and `nonstrict --max-size N`
+# takes about 1.5 s), `nonstrict --max-size N` and `families --spec` order
+# (`path:100000` takes about 1 s and 64 MB)
 GRAM_SIZE_LIMIT = 100
 MAX_SIZE_LIMIT = 10_000
+SPEC_ORDER_LIMIT = 100_000
 
 
 def _at_least(value: int, least: int, option: str) -> None:
@@ -51,7 +53,7 @@ def _max_order(args) -> int:
     return cap
 
 
-def _load_digraph(source: str, max_order: int | None = None
+def _load_digraph(source: str, max_order: int
                   ) -> tuple[SimpleDigraph, dict[str, int]]:
     """Resolve a --family string or --file path into a digraph plus labels.
 
@@ -196,9 +198,9 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    from .algebra import format_rational, laguerre
+    from .algebra import format_rational
     from .companion import catalan_polynomial
-    from .orthogonality import gram
+    from .orthogonality import gram, laguerre_gram
 
     if (args.catalan is None) == (args.laguerre is None):
         raise ParseError("give exactly one of --catalan or --laguerre")
@@ -211,9 +213,7 @@ def _cmd_gram(args) -> int:
     else:
         _at_least(args.laguerre, 1, "--laguerre")
         _at_most(args.laguerre, GRAM_SIZE_LIMIT, "--laguerre")
-        polys = [laguerre(k) for k in range(args.laguerre)]
-        labels = [f"L{k}" for k in range(args.laguerre)]
-        matrix = gram(polys, labels=labels)
+        matrix = laguerre_gram(args.laguerre)
     if args.format == "json":
         _emit(_json({"labels": list(matrix.labels),
                      "entries": [[format_rational(x) for x in row]
@@ -290,7 +290,7 @@ def _cmd_series(args) -> int:
 def _cmd_extremal(args) -> int:
     from .extremal import max_counter_search
 
-    report = max_counter_search(args.order, parallel=args.parallel)
+    report = max_counter_search(args.order)
     _emit(_json(report.to_json()))
     return 0
 
@@ -298,7 +298,11 @@ def _cmd_extremal(args) -> int:
 def _cmd_families(args) -> int:
     from .counting import count
 
-    d, labels = _load_digraph(args.spec)
+    try:
+        d, labels = _load_digraph(args.spec, SPEC_ORDER_LIMIT)
+    except SizeLimitError:
+        raise SizeLimitError(f"--spec {args.spec} exceeds the cap of "
+                             f"{SPEC_ORDER_LIMIT} vertices") from None
     data = d.to_json()
     data["labels"] = labels
     data["counter"] = count(d) if d.n <= _max_order(args) else None
@@ -457,10 +461,7 @@ COMMANDS = {
         _cmd_series),
     "extremal": (
         "maximize the counter over connected row-grid digraphs",
-        (("--order", {"type": int, "required": True}),
-         ("--parallel", {"action": "store_true",
-                         "help": "accepted and ignored (the search is "
-                                 "serial)"})),
+        (("--order", {"type": int, "required": True}),),
         _cmd_extremal),
     "families": (
         "build a named digraph family",
@@ -473,7 +474,7 @@ COMMANDS = {
 
 
 def _parse(argv: list[str]):
-    """What ``build_parser(argv[0]).parse_args(argv)`` returns, for a
+    """What ``build_parser().parse_args(argv)`` returns, for a
     well-formed command line, without importing argparse; None otherwise.
 
     Well-formed means: a subcommand name, then flags each spelled out in
@@ -525,14 +526,8 @@ def _parse(argv: list[str]):
     return SimpleNamespace(command=argv[0], func=handler, **values)
 
 
-def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
-    """The CLI parser.
-
-    Given a known subcommand name, only that subcommand is registered, which
-    saves building the other nine; its help, usage lines and errors read
-    the same as the full parser's.  Any other ``command`` (None, unknown)
-    registers all of them.
-    """
+def build_parser() -> "argparse.ArgumentParser":
+    """The CLI parser, for help, errors and whatever ``_parse`` leaves."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -541,17 +536,8 @@ def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
                     "equations of directed multigraphs.",
         epilog="Rationals print as p/q.  Polynomial JSON lists coefficients "
                "lowest degree first; pretty output runs highest degree first.")
-    if command in COMMANDS:
-        names = [command]
-        # the metavar the full parser derives from its choices
-        metavar = "{" + ",".join(COMMANDS) + "}"
-    else:
-        names = list(COMMANDS)
-        metavar = None
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 metavar=metavar)
-    for name in names:
-        help_text, options, handler = COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options, handler) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         for flag, spec in options:
             sub.add_argument(flag, **spec)
@@ -564,7 +550,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parse(argv)
     if args is None:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValueError) as exc:

@@ -23,7 +23,8 @@ from .combinatorics import binomial
 from .counting import CounterTable
 from .errors import DeconvolutionTailError
 from .families import staircase_counter, two_row_counter
-from .graph import SimpleDigraph, full_mask, iter_mask, mask_size
+from .graph import (SimpleDigraph, _weak_components, full_mask, iter_mask,
+                    mask_size)
 from .ode import laguerre_basis_decompose
 
 
@@ -81,7 +82,7 @@ class _HeightTable(CounterTable):
             return got
         v = self.v
         size = mask_size(mask)
-        comps = self._components(mask)
+        comps = _weak_components(self._nbr, mask)
         if len(comps) > 1:
             # interleave v's component C with the rest R: v at height j + 1
             # of C and k + 1 of S leaves C(k, j) C(|S|-1-k, |C|-1-j) ways

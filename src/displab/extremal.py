@@ -151,12 +151,8 @@ class _GridCounter:
         return got
 
 
-def max_counter_search(m: int, parallel: bool = False) -> SearchReport:
-    """Maximize the counter over all connected specs of order m.
-
-    ``parallel`` is accepted and ignored: counting is pure Python, so a
-    thread pool under the interpreter lock only added time.
-    """
+def max_counter_search(m: int) -> SearchReport:
+    """Maximize the counter over all connected specs of order m."""
     grid = _GridCounter(m)
     best = 0
     argmax = []

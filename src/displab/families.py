@@ -146,14 +146,7 @@ def make_staircase(n: int) -> SimpleDigraph:
 
     0-based: (2i, 2i+1) for the down-steps and (2i, 2i-1) for the up-steps.
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    arcs = []
-    for i in range((n - 2) // 2 + 1 if n >= 2 else 0):
-        arcs.append((2 * i, 2 * i + 1))
-    for i in range(2, (n + 1) // 2 + 1):
-        arcs.append((2 * i - 2, 2 * i - 3))
-    return SimpleDigraph(n, arcs)
+    return make_dispositional(staircase_spec(n))
 
 
 def make_two_row(n1: int, n2: int) -> SimpleDigraph:

@@ -177,26 +177,8 @@ class SimpleDigraph:
 
     def underlying_components(self) -> list[int]:
         """Weakly connected components as bitmasks, ordered by least vertex."""
-        nbr = [0] * self.n
-        for u, v in self.arcs:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        seen = 0
-        comps = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            comp = 0
-            frontier = 1 << start
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for v in iter_mask(frontier):
-                    nxt |= nbr[v]
-                frontier = nxt & ~comp
-            seen |= comp
-            comps.append(comp)
-        return comps
+        nbr = [a | b for a, b in zip(self.out_masks(), self.in_masks())]
+        return _weak_components(nbr, full_mask(self.n))
 
     def is_acyclic(self) -> bool:
         indeg = [0] * self.n
@@ -256,6 +238,26 @@ class SimpleDigraph:
 
     def to_json(self) -> dict:
         return {"n": self.n, "arcs": [list(a) for a in sorted(self.arcs)]}
+
+
+def _weak_components(nbr: list[int], mask: int) -> list[int]:
+    """Weak components of the subgraph induced by a mask, ordered by least
+    vertex, where nbr[u] is the mask of u's neighbours either way."""
+    comps = []
+    rest = mask
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest ^= comp
+    return comps
 
 
 def _strong_components(d: SimpleDigraph) -> dict[int, int]:

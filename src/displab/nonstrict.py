@@ -22,7 +22,8 @@ from .algebra import Polynomial, TruncatedSeries
 from .combinatorics import binomial
 from .counting import _PeelTable
 from .errors import SizeLimitError
-from .graph import SimpleDigraph, full_mask, iter_mask, mask_size
+from .graph import (SimpleDigraph, _weak_components, full_mask, iter_mask,
+                    mask_size)
 
 BRUTE_FORCE_BUDGET = 10_000_000
 CONDENSED_ORDER_LIMIT = 20
@@ -79,7 +80,7 @@ class NonStrictCounter(_PeelTable):
         got = self.memo.get(mask)
         if got is not None:
             return got
-        comps = self._components(mask)
+        comps = _weak_components(self._nbr, mask)
         if len(comps) > 1:
             result = (1,)
             for c in comps:

@@ -1,7 +1,5 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -11,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import displab
-from displab.cli import COMMANDS, build_parser, main
+from displab.cli import COMMANDS, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -345,22 +343,6 @@ print(sum(t.is_alive() for t in threads), len(seen), bad)
     assert out.splitlines()[-1] == "0 8 []"
 
 
-def parse_outcome(parser, argv):
-    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-    return exc.value.code, out.getvalue(), err.getvalue()
-
-
-@pytest.mark.parametrize("name", list(COMMANDS))
-def test_subcommand_parser_matches_full_parser(name):
-    for argv in ([name, "-h"], [name, "--bogus"], [name, "extra"]):
-        assert (parse_outcome(build_parser(name), argv)
-                == parse_outcome(build_parser(), argv)), argv
-
-
 @pytest.mark.parametrize("argv, unused", [
     (["count", "--family", "path:3"], ("json", "fractions", "decimal")),
     (["families", "--spec", "path:1"], ("fractions", "decimal")),
@@ -455,6 +437,8 @@ def test_oversized_digraph_refused_before_building(tmp_path, argv):
     (("gram", "--catalan", "101"), "--catalan"),
     (("gram", "--laguerre", "1000000000000", "--format", "json"),
      "--laguerre"),
+    (("families", "--spec", "path:1000000000000"), "--spec"),
+    (("families", "--spec", "qary:2,1000000000000"), "--spec"),
 ])
 def test_size_above_cap_refused_before_computing(argv, option):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -472,6 +456,10 @@ def test_sizes_at_the_caps_are_accepted(capsys):
     rows = out.splitlines()
     assert code == 0 and len(rows) == 101
     assert rows[-1].split(",")[-1] == "1"
+    # --max-order gates only the printed counter
+    code, out, _ = run(capsys, "families", "--spec", "empty:100000")
+    data = json.loads(out)
+    assert code == 0 and data["n"] == 100000 and data["counter"] is None
 
 
 @pytest.mark.parametrize("error, message", [

@@ -26,7 +26,7 @@ def agrees(argv):
     fast = _parse(list(argv))
     if fast is None:
         return False
-    assert vars(fast) == vars(build_parser(argv[0]).parse_args(argv)), argv
+    assert vars(fast) == vars(build_parser().parse_args(argv)), argv
     return True
 
 

@@ -278,3 +278,10 @@ def test_state_cap_refuses(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
     assert out.err.startswith("error:")
+
+
+def test_random_dag_of_63_vertices_refuses_at_the_state_limit():
+    # at the real STATE_LIMIT, unpatched: about 6 s and 30 MB
+    d = random_acyclic_digraph(random.Random(1), 63, 0.08)
+    with pytest.raises(SizeLimitError):
+        count(d)

@@ -118,10 +118,6 @@ def test_search_equality_only_at_staircases():
                 assert iso_check(d, stair) or iso_check(d, stair.reverse())
 
 
-def test_parallel_search_matches_serial():
-    assert max_counter_search(5, parallel=True) == max_counter_search(5)
-
-
 def test_report_json():
     report = max_counter_search(3)
     data = report.to_json()
