@@ -242,12 +242,6 @@ class Polynomial:
             a = [-c for c in a]
         return _raw(tuple(a), 1)
 
-    def content(self) -> Fraction:
-        """The positive rational c with self = c * (primitive integer poly)."""
-        if self.is_zero():
-            return Fraction(0)
-        return Fraction(math.gcd(*self.num), self.den)
-
     def content_normalized(self) -> "Polynomial":
         """Divide out the content and make the leading coefficient positive.
 

@@ -20,11 +20,16 @@ from .errors import DisplabError, ParseError, SizeLimitError
 
 DEFAULT_MAX_ORDER = 20
 # the largest accepted `gram --catalan/--laguerre N` (`gram --catalan 100`
-# takes about 1.5 s), `nonstrict --max-size N` and `families --spec` order
-# (`path:100000` takes about 1 s and 64 MB)
+# takes about 1.5 s), `nonstrict --max-size N`, `families --spec` order
+# (`path:100000` takes about 1 s and 64 MB), `series --order` (past it
+# every kind but exp:0 has a coefficient too long to print) and
+# `dispositions --cap` (499,488 dispositions of 12 vertices take about 6 s
+# and 200 MB)
 GRAM_SIZE_LIMIT = 100
 MAX_SIZE_LIMIT = 10_000
 SPEC_ORDER_LIMIT = 100_000
+SERIES_ORDER_LIMIT = 2_000
+DISPOSITIONS_CAP_LIMIT = 500_000
 
 
 def _at_least(value: int, least: int, option: str) -> None:
@@ -137,6 +142,7 @@ def _cmd_dispositions(args) -> int:
     from .counting import enumerate_dispositions
 
     _at_least(args.cap, 0, "--cap")
+    _at_most(args.cap, DISPOSITIONS_CAP_LIMIT, "--cap")
     d, _, _ = _digraph_from_args(args)
     dispositions = enumerate_dispositions(d, cap=args.cap)
     if args.format == "json":
@@ -257,6 +263,7 @@ def _cmd_series(args) -> int:
     from .nonstrict import (nonstrict_path_series,
                             nonstrict_path_series_fixed_size)
 
+    _at_most(args.order, SERIES_ORDER_LIMIT, "--order")
     kind, _, rest = args.kind.partition(":")
     try:
         if kind == "nspaths":

@@ -23,8 +23,7 @@ from .combinatorics import binomial
 from .counting import CounterTable
 from .errors import DeconvolutionTailError
 from .families import staircase_counter, two_row_counter
-from .graph import (SimpleDigraph, _weak_components, full_mask, iter_mask,
-                    mask_size)
+from .graph import SimpleDigraph, full_mask, mask_size
 from .ode import laguerre_basis_decompose
 
 
@@ -65,53 +64,48 @@ def counter_minus_one(d: SimpleDigraph, v: int) -> int:
 class _HeightTable(CounterTable):
     """CounterTable plus the height distribution of one vertex v.
 
-    ``heights(mask)`` is N for the subgraph induced by a mask holding v:
-    entry k - 1 counts its dispositions with f(v) = k.  Like ``sigma`` it
-    splits off weak components, memoizes only connected subsets and peels
-    the side in use, and both memos charge the same budget of states.
+    In ``memo`` a mask without v holds its counter, and a mask with v holds
+    N for the subgraph it induces: entry k - 1 counts its dispositions with
+    f(v) = k.
     """
 
     def __init__(self, d: SimpleDigraph, v: int):
         super().__init__(d)
         self.v = v
-        self.heights_memo: dict[int, tuple[int, ...]] = {}
 
-    def heights(self, mask: int) -> tuple[int, ...]:
-        got = self.heights_memo.get(mask)
-        if got is not None:
-            return got
+    def _join(self, mask: int, comps: list[int]):
         v = self.v
+        if not mask >> v & 1:
+            return super()._join(mask, comps)
+        # interleave v's component C with the rest R: v at height j + 1
+        # of C and k + 1 of S leaves C(k, j) C(|S|-1-k, |C|-1-j) ways
+        comp = next(c for c in comps if c >> v & 1)
+        inner = self._value(comp, True)
+        m = len(inner)
+        rest = super()._join(mask ^ comp, [c for c in comps if c != comp])
         size = mask_size(mask)
-        comps = _weak_components(self._nbr, mask)
-        if len(comps) > 1:
-            # interleave v's component C with the rest R: v at height j + 1
-            # of C and k + 1 of S leaves C(k, j) C(|S|-1-k, |C|-1-j) ways
-            comp = next(c for c in comps if c >> v & 1)
-            inner = self.heights(comp)
-            m = len(inner)
-            rest = self.sigma(mask ^ comp)
-            return tuple(
-                rest * sum(inner[j] * math.comb(k, j)
-                           * math.comb(size - 1 - k, m - 1 - j)
-                           for j in range(m))
-                for k in range(size))
-        self._spend()
-        blocked = self._blocked
+        return tuple(
+            rest * sum(inner[j] * math.comb(k, j)
+                       * math.comb(size - 1 - k, m - 1 - j)
+                       for j in range(m))
+            for k in range(size))
+
+    def _peel(self, mask: int):
+        v = self.v
+        if not mask >> v & 1:
+            return super()._peel(mask)
+        size = mask_size(mask)
         # a peeled sink takes the lowest value and lifts the others by one;
         # a peeled source takes the highest
-        shift = 1 if blocked is self.out else 0
+        shift = 1 if self._blocked is self.out else 0
         total = [0] * size
-        for w in iter_mask(mask):
-            if blocked[w] & mask == 0:
-                sub = mask & ~(1 << w)
-                if w == v:
-                    total[0 if shift else size - 1] += self.sigma(sub)
-                else:
-                    for k, x in enumerate(self.heights(sub), shift):
-                        total[k] += x
-        result = tuple(total)
-        self.heights_memo[mask] = result
-        return result
+        for w, x in self._children(mask):
+            if w == v:
+                total[0 if shift else size - 1] += x
+            else:
+                for k, y in enumerate(x, shift):
+                    total[k] += y
+        return tuple(total)
 
 
 def height_counts(d: SimpleDigraph, v: int) -> tuple[int, ...]:
@@ -123,8 +117,7 @@ def height_counts(d: SimpleDigraph, v: int) -> tuple[int, ...]:
         raise ValueError(f"vertex {v} out of range")
     if d.had_loop or not d.is_acyclic():
         return (0,) * d.n
-    table = _HeightTable(d, v)
-    return table._either_side(table.heights, full_mask(d.n))
+    return _HeightTable(d, v)._count(full_mask(d.n))
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +138,17 @@ class CompanionResult(NamedTuple):
 
 
 def companion_from_counters(d: SimpleDigraph, v: int,
-                            reverse: bool = False,
-                            horizon: int | None = None) -> CompanionResult:
+                            reverse: bool = False) -> CompanionResult:
     """Companion polynomial by series deconvolution.
 
     t_i = sum_{j<=i} sigma_j/j! * (-1)^{i-j}/(i-j)! for i < n, and the same
-    expression must vanish for i = n..horizon; running the deconvolution
-    past the degree bound turns the uniqueness argument into a self-test.
+    expression must vanish for i = n..2n-1; running the deconvolution past
+    the degree bound turns the uniqueness argument into a self-test.
     """
     n = d.n
     if n < 1:
         raise ValueError("companion polynomials need at least one vertex")
-    if horizon is None:
-        horizon = 2 * n - 1
-    if horizon < n - 1:
-        raise ValueError("horizon must be at least n - 1")
+    horizon = 2 * n - 1
     counters = counters_along_path(d, v, horizon, reverse=reverse)
     # i! t_i = sum_j C(i, j) (-1)^(i-j) sigma_j, an integer
     scaled = [sum((-1) ** (i - j) * math.comb(i, j) * counters[j]

@@ -12,6 +12,10 @@ the recursive decomposition of Kangas, Hankala, Niinimaki and Koivisto
 * a connected subset sums the counters left after deleting each of its
   peelable vertices: every sink, or every source.
 
+``_PeelTable`` is this recursion for every kind of value it computes: the
+counter here, the height distribution in ``companion`` and the order
+polynomial in ``nonstrict``.
+
 Which side visits fewer subsets depends on the digraph: a star whose
 leaves are sinks needs 2^(n-1) states peeling sinks, and n peeling
 sources (the star, then each leaf on its own).  Mixing the sides from
@@ -49,29 +53,57 @@ class _OutOfStates(SizeLimitError):
 
 
 class _PeelTable:
-    """What the strict and non-strict subset recursions share: the arc and
-    neighbour masks of one acyclic digraph, the peel side in use and the
-    budget of new memo states left.
+    """The subset recursion that the strict, height and non-strict counters
+    share, over the arc and neighbour masks of one acyclic digraph.
+
+    ``memo`` maps the empty set to the value a subclass passes in, and
+    every connected subset visited to its value.  ``_value`` hands a
+    disconnected subset and its weak components to the subclass's
+    ``_join``; a connected subset costs one state of the budget and gets
+    its value from the subclass's ``_peel``.
     """
 
-    def __init__(self, d: SimpleDigraph):
+    def __init__(self, d: SimpleDigraph, empty):
         self.out = d.out_masks()
         self._inc = d.in_masks()
         self._nbr = [a | b for a, b in zip(self.out, self._inc)]
         # a vertex u of subset S may be peeled when blocked[u] & S == 0
         self._blocked = self.out
         self._left = STATE_LIMIT
+        self.memo: dict = {0: empty}
 
-    def _spend(self) -> None:
-        """Charge one new memo state to the budget."""
+    def _value(self, mask: int, connected: bool = False):
+        """The value of mask; ``connected`` skips the component search."""
+        got = self.memo.get(mask)
+        if got is not None:
+            return got
+        if not connected:
+            comps = _weak_components(self._nbr, mask)
+            if len(comps) > 1:
+                return self._join(mask, comps)
         self._left -= 1
         if self._left < 0:
             raise _OutOfStates(
                 "the subset recursion ran past its budget of states")
+        value = self._peel(mask)
+        self.memo[mask] = value
+        return value
 
-    def _either_side(self, solve, mask: int):
-        """solve(mask), peeling whichever side finishes first under budgets
-        that grow fourfold; refuses past STATE_LIMIT on both sides."""
+    def _children(self, mask: int):
+        """(u, value of mask - u) for every peelable u of a connected mask.
+        Deleting a leaf leaves the rest connected, so its child skips the
+        component search."""
+        blocked, nbr = self._blocked, self._nbr
+        for u in iter_mask(mask):
+            if blocked[u] & mask == 0:
+                child = mask & ~(1 << u)
+                near = nbr[u] & child
+                yield u, self._value(child, not near & (near - 1))
+
+    def _count(self, mask: int):
+        """The value of mask, peeling whichever side finishes first under
+        budgets that grow fourfold; refuses past STATE_LIMIT on both
+        sides."""
         budget = FIRST_BUDGET
         try:
             while True:
@@ -79,7 +111,7 @@ class _PeelTable:
                     self._blocked = blocked
                     self._left = min(budget, STATE_LIMIT)
                     try:
-                        return solve(mask)
+                        return self._value(mask)
                     except _OutOfStates:
                         pass
                 if budget >= STATE_LIMIT:
@@ -103,42 +135,22 @@ class CounterTable(_PeelTable):
 
     def __init__(self, d: SimpleDigraph):
         check_mask_limit(d.n, "subset-memoized counting")
-        super().__init__(d)
-        self.memo: dict[int, int] = {0: 1}
+        super().__init__(d, 1)
 
     def sigma(self, mask: int) -> int:
-        got = self.memo.get(mask)
-        if got is not None:
-            return got
-        comps = _weak_components(self._nbr, mask)
-        if len(comps) > 1:
-            total = multinomial(mask_size(c) for c in comps)
-            for c in comps:
-                total *= self.sigma(c)
-            return total
-        return self._peel(mask)
+        return self._value(mask)
 
-    def _peel(self, mask: int) -> int:
-        """sigma of a connected mask missing from the memo."""
-        self._spend()
-        blocked, nbr, memo = self._blocked, self._nbr, self.memo
-        total = 0
-        for u in iter_mask(mask):
-            if blocked[u] & mask == 0:
-                child = mask & ~(1 << u)
-                near = nbr[u] & child
-                if near & (near - 1):
-                    total += self.sigma(child)
-                else:
-                    # u was a leaf, so the child is connected too
-                    got = memo.get(child)
-                    total += self._peel(child) if got is None else got
-        memo[mask] = total
+    def _join(self, mask: int, comps: list[int]) -> int:
+        total = multinomial(mask_size(c) for c in comps)
+        for c in comps:
+            total *= self._value(c, True)
         return total
 
-    def _count(self, mask: int) -> int:
-        """sigma(mask), with the peel side chosen for this call."""
-        return self._either_side(self.sigma, mask)
+    def _peel(self, mask: int) -> int:
+        total = 0
+        for _, x in self._children(mask):
+            total += x
+        return total
 
 
 def count(d: SimpleDigraph) -> int:

@@ -22,8 +22,7 @@ from .algebra import Polynomial, TruncatedSeries
 from .combinatorics import binomial
 from .counting import _PeelTable
 from .errors import SizeLimitError
-from .graph import (SimpleDigraph, _weak_components, full_mask, iter_mask,
-                    mask_size)
+from .graph import SimpleDigraph, full_mask, iter_mask, mask_size
 
 BRUTE_FORCE_BUDGET = 10_000_000
 CONDENSED_ORDER_LIMIT = 20
@@ -54,8 +53,8 @@ def nonstrict_bruteforce(d: SimpleDigraph, i: int) -> int:
 class NonStrictCounter(_PeelTable):
     """Order polynomials of the induced subgraphs of one acyclic digraph.
 
-    ``coefficients(mask)`` is the order polynomial of the subgraph induced
-    by ``mask`` in the binomial basis: integers c with
+    ``memo`` maps a mask to the order polynomial of the subgraph it induces,
+    in the binomial basis: integers c with
     Omega_S(i) = sum_k c_k C(i, k).  A disconnected S is the product of
     its weak components.  For a connected S, inclusion-exclusion over the
     nonempty subsets T of the sinks of S gives
@@ -73,32 +72,25 @@ class NonStrictCounter(_PeelTable):
     def __init__(self, d: SimpleDigraph):
         if not d.is_acyclic():
             raise ValueError("NonStrictCounter needs an acyclic digraph")
-        super().__init__(d)
-        self.memo: dict[int, tuple[int, ...]] = {0: (1,)}
+        super().__init__(d, (1,))
 
-    def coefficients(self, mask: int) -> tuple[int, ...]:
-        got = self.memo.get(mask)
-        if got is not None:
-            return got
-        comps = _weak_components(self._nbr, mask)
-        if len(comps) > 1:
-            result = (1,)
-            for c in comps:
-                result = _binomial_basis_product(result, self.coefficients(c))
-            return result
-        self._spend()
+    def _join(self, mask: int, comps: list[int]) -> tuple[int, ...]:
+        result = (1,)
+        for c in comps:
+            result = _binomial_basis_product(result, self._value(c, True))
+        return result
+
+    def _peel(self, mask: int) -> tuple[int, ...]:
         blocked = self._blocked
         peelable = [u for u in iter_mask(mask) if blocked[u] & mask == 0]
         # diff[k] is the C(j, k) coefficient of the inner sum over T
         diff = [0] * (mask_size(mask) + 1)
         for size, sub in _subsets_with_size(peelable):
             sign = 1 if size % 2 == 1 else -1
-            for k, c in enumerate(self.coefficients(mask & ~sub)):
+            for k, c in enumerate(self._value(mask & ~sub)):
                 diff[k] += sign * c
         # Omega_S(0) = 0, and C(i, k+1) collects diff[k] + diff[k+1]
-        result = (0,) + tuple(a + b for a, b in zip(diff, diff[1:]))
-        self.memo[mask] = result
-        return result
+        return (0,) + tuple(a + b for a, b in zip(diff, diff[1:]))
 
 
 def _binomial_basis_product(p: tuple[int, ...],
@@ -142,9 +134,8 @@ def order_polynomial(d: SimpleDigraph) -> Polynomial:
     if cond.n > CONDENSED_ORDER_LIMIT:
         raise SizeLimitError(
             f"condensed order {cond.n} exceeds the cap {CONDENSED_ORDER_LIMIT}")
-    counter = NonStrictCounter(cond)
     return _from_binomial_basis(
-        counter._either_side(counter.coefficients, full_mask(cond.n)))
+        NonStrictCounter(cond)._count(full_mask(cond.n)))
 
 
 def _from_binomial_basis(coeffs: tuple[int, ...]) -> Polynomial:

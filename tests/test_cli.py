@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import displab
-from displab.cli import COMMANDS, main
+from displab.cli import COMMANDS, DISPOSITIONS_CAP_LIMIT, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -439,6 +439,9 @@ def test_oversized_digraph_refused_before_building(tmp_path, argv):
      "--laguerre"),
     (("families", "--spec", "path:1000000000000"), "--spec"),
     (("families", "--spec", "qary:2,1000000000000"), "--spec"),
+    (("series", "--kind", "exp:0", "--order", "1000000"), "--order"),
+    (("dispositions", "--family", "empty:12", "--cap",
+      str(DISPOSITIONS_CAP_LIMIT + 1)), "--cap"),
 ])
 def test_size_above_cap_refused_before_computing(argv, option):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -460,6 +463,11 @@ def test_sizes_at_the_caps_are_accepted(capsys):
     code, out, _ = run(capsys, "families", "--spec", "empty:100000")
     data = json.loads(out)
     assert code == 0 and data["n"] == 100000 and data["counter"] is None
+    code, out, _ = run(capsys, "series", "--kind", "exp:0", "--order", "2000")
+    assert code == 0 and len(out.split()) == 2001
+    code, out, _ = run(capsys, "dispositions", "--family", "staircase:3",
+                       "--cap", str(DISPOSITIONS_CAP_LIMIT))
+    assert code == 0 and out == "2 1 3\n3 1 2\n"
 
 
 @pytest.mark.parametrize("error, message", [

@@ -12,7 +12,8 @@ from displab.algebra import (Polynomial, TruncatedSeries, binomial,
                              series_from_counters)
 from displab import counting
 from displab.cli import main
-from displab.companion import (CompanionResult, companion_by_recurrence,
+from displab.companion import (CompanionResult, _HeightTable,
+                               companion_by_recurrence,
                                companion_dual, companion_from_counters,
                                counter_minus_one, counters_along_path,
                                height_counts,
@@ -24,10 +25,11 @@ from displab.companion import (CompanionResult, companion_by_recurrence,
                                two_row_weight)
 from displab.counting import count, count_bruteforce, enumerate_dispositions
 from displab.errors import SizeLimitError
-from displab.families import (make_empty, make_path, make_rooted_tree,
+from displab.families import (build_family, make_empty, make_path,
+                              make_rooted_tree,
                               make_staircase, make_star, make_two_row,
                               staircase_counter, two_row_counter)
-from displab.graph import Multidigraph, SimpleDigraph, normalize
+from displab.graph import Multidigraph, SimpleDigraph, full_mask, normalize
 from helpers import (random_acyclic_digraph, random_simple_digraph,
                      random_tree_parents)
 
@@ -284,6 +286,17 @@ def test_height_counts_match_enumeration():
             for f in enumerate_dispositions(d):
                 expected[f[v] - 1] += 1
         assert height_counts(d, v) == tuple(expected), (sorted(d.arcs), v)
+
+
+@pytest.mark.parametrize("spec, vertex, states", [
+    ("staircase:22", "v1", 140), ("tworow:20,22", "v2", 310),
+    ("tworow:28,30", "v30", 747), ("star:17", "v2", 70)])
+def test_height_memo_states(spec, vertex, states):
+    # one memo: counters of the masks without v, N of the masks with v
+    d, labels = build_family(spec, 64)
+    table = _HeightTable(d, labels[vertex])
+    table._count(full_mask(d.n))
+    assert len(table.memo) == states
 
 
 def test_companion_closed_forms_on_stars_of_forty():

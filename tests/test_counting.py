@@ -147,23 +147,40 @@ def test_oracle_on_family_instances():
 
 
 def test_thread_safety_of_counters():
-    """Concurrent counting on distinct digraphs and the shared zigzag memo."""
+    """Concurrent strict, height and non-strict counting on distinct
+    digraphs, and the shared zigzag memo."""
+    import sys
     import threading
-    from displab.families import staircase_counter
+    from displab.companion import height_counts
+    from displab.nonstrict import order_polynomial
+    orders = (10, 11, 12)
+    serial = {n: (height_counts(make_staircase(n), 0),
+                  order_polynomial(make_staircase(n))) for n in orders}
     results = {}
 
     def worker(idx):
-        d = make_staircase(5 + idx % 3)
-        results[idx] = (count(d), staircase_counter(40 + idx))
+        d = make_staircase(orders[idx % 3])
+        results[idx] = (count(d), staircase_counter(40 + idx),
+                        height_counts(d, 0), order_polynomial(d))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for idx, (c, s) in results.items():
-        assert c == staircase_counter(5 + idx % 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(8))
+    for idx, (c, s, heights, omega) in results.items():
+        n = orders[idx % 3]
+        assert c == staircase_counter(n)
         assert s == staircase_counter(40 + idx)
+        assert (heights, omega) == serial[n]
+        assert sum(heights) == c
 
 
 def test_reverse_invariance():

@@ -12,9 +12,10 @@ from displab.algebra import (binomial, bessel_i_series, exp_series, laguerre,
 from displab import counting
 from displab.counting import count
 from displab.errors import SizeLimitError
-from displab.families import make_empty, make_path, make_star, make_two_row
-from displab.graph import SimpleDigraph
-from displab.nonstrict import (nonstrict_bruteforce, nonstrict_count,
+from displab.families import (build_family, make_empty, make_path, make_star,
+                              make_two_row)
+from displab.graph import SimpleDigraph, full_mask
+from displab.nonstrict import (NonStrictCounter, nonstrict_bruteforce, nonstrict_count,
                                nonstrict_empty, nonstrict_path,
                                nonstrict_path_series,
                                nonstrict_path_series_fixed_size,
@@ -139,6 +140,15 @@ def test_order_polynomial_of_stars():
         omega = order_polynomial(make_star(20, center_out=center_out))
         for i in (1, 2, 3, 7, 30):
             assert omega(i) == sum(j**19 for j in range(1, i + 1))
+
+
+@pytest.mark.parametrize("spec, states", [("staircase:14", 36),
+                                          ("tworow:8,9", 54)])
+def test_memo_states(spec, states):
+    d, _ = build_family(spec, 64)
+    table = NonStrictCounter(d)
+    table._count(full_mask(d.n))
+    assert len(table.memo) == states
 
 
 def test_state_cap_refuses(monkeypatch):
