@@ -11,6 +11,7 @@ input.
 from __future__ import annotations
 
 import gc
+import math
 import os
 import sys
 from pathlib import Path
@@ -258,35 +259,55 @@ def _cmd_nonstrict(args) -> int:
     return 0
 
 
+def _refuse_too_long(bits: int | None = None) -> None:
+    """Refuse a series coefficient that failed to print, or one of at least
+    2^bits, which has more than 3 bits / 10 digits (log10(2) > 3/10)."""
+    # 0, no limit, as in CPython before 3.11
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if bits is None or (limit and bits * 3 // 10 >= limit):
+        raise SizeLimitError(
+            f"a series coefficient has more than {limit} digits, too long "
+            f"to print; lower --order")
+
+
 def _cmd_series(args) -> int:
     from .algebra import bessel_i_series, exp_series, format_rational
     from .nonstrict import (nonstrict_path_series,
                             nonstrict_path_series_fixed_size)
 
-    _at_most(args.order, SERIES_ORDER_LIMIT, "--order")
+    order = args.order
+    _at_most(order, SERIES_ORDER_LIMIT, "--order")
     kind, _, rest = args.kind.partition(":")
+    # the bits below bound log2 of the top coefficient: 2^(len-1) <= x < 2^len
+    fact = math.factorial(order).bit_length()  # len(order!)
     try:
         if kind == "nspaths":
-            series = nonstrict_path_series(args.order)
+            series = nonstrict_path_series(order)
         elif kind == "nspath-size":
-            series = nonstrict_path_series_fixed_size(int(rest), args.order)
+            j = int(rest)
+            # C(j+i-1, i) / i! >= j^i / i!^2
+            _refuse_too_long(order * (max(j, 1).bit_length() - 1) - 2 * fact)
+            series = nonstrict_path_series_fixed_size(j, order)
         elif kind == "exp":
-            series = exp_series(int(rest or 1), args.order)
+            c = int(rest or 1)
+            _refuse_too_long(order * (abs(c).bit_length() - 1) - fact)
+            series = exp_series(c, order)
         elif kind == "bessel":
             m, k = (int(x) for x in rest.split(","))
-            series = bessel_i_series(m, k, args.order)
+            if 0 <= m <= order:
+                # k^e / (2^e s! (m+s)!) at e = m+2s >= order-1, m+s <= order
+                _refuse_too_long(
+                    (order - 1) * (abs(k).bit_length() - 2) - 2 * fact)
+            series = bessel_i_series(m, k, order)
         else:
             raise ParseError(f"unknown series kind {args.kind!r}")
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad series kind {args.kind!r}: {exc}") from exc
     try:
         coeffs = [format_rational(c) for c in series.coeffs]
-    except ValueError as exc:
+    except ValueError:
         # CPython's guard on int-to-str conversion, not a malformed input
-        raise SizeLimitError(
-            f"a series coefficient has more than "
-            f"{sys.get_int_max_str_digits()} digits, too long to print; "
-            f"lower --order") from exc
+        _refuse_too_long()
     if args.format == "json":
         _emit(_json({"order": series.order, "coeffs": coeffs}))
     else:

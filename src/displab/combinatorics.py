@@ -41,3 +41,13 @@ def multinomial(parts: Iterable[int]) -> int:
         total += p
         denom *= math.factorial(p)
     return math.factorial(total) // denom
+
+
+def forward_differences(values: Iterable[int]) -> list[int]:
+    """Delta^i v(0) = sum_j (-1)^(i-j) C(i, j) v_j for i = 0..len-1: the
+    inverse binomial transform, by repeated differencing."""
+    row, out = list(values), []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import Polynomial, laguerre, monomial, pochhammer
-from .combinatorics import binomial
+from .algebra import Polynomial, _mul_vectors, laguerre, monomial, pochhammer
+from .combinatorics import binomial, forward_differences
 from .counting import CounterTable
 from .errors import DeconvolutionTailError
 from .families import staircase_counter, two_row_counter
@@ -77,18 +77,19 @@ class _HeightTable(CounterTable):
         v = self.v
         if not mask >> v & 1:
             return super()._join(mask, comps)
-        # interleave v's component C with the rest R: v at height j + 1
-        # of C and k + 1 of S leaves C(k, j) C(|S|-1-k, |C|-1-j) ways
+        # interleave v's component C with the rest R: v at height j + 1 of
+        # C and k + 1 of S leaves C(k, j) C(s-1-k, m-1-j) ways, which is
+        # C(m-1, j) C(s-m, k-j) C(s-1, m-1) / C(s-1, k), so N_S is one
+        # product of coefficient vectors, rescaled
         comp = next(c for c in comps if c >> v & 1)
         inner = self._value(comp, True)
-        m = len(inner)
         rest = super()._join(mask ^ comp, [c for c in comps if c != comp])
-        size = mask_size(mask)
-        return tuple(
-            rest * sum(inner[j] * math.comb(k, j)
-                       * math.comb(size - 1 - k, m - 1 - j)
-                       for j in range(m))
-            for k in range(size))
+        m, s = len(inner), mask_size(mask)
+        w = _mul_vectors(
+            [x * math.comb(m - 1, j) for j, x in enumerate(inner)],
+            [math.comb(s - m, i) for i in range(s - m + 1)])
+        return tuple(rest * math.comb(s - 1, m - 1) * x // math.comb(s - 1, k)
+                     for k, x in enumerate(w))
 
     def _peel(self, mask: int):
         v = self.v
@@ -151,9 +152,7 @@ def companion_from_counters(d: SimpleDigraph, v: int,
     horizon = 2 * n - 1
     counters = counters_along_path(d, v, horizon, reverse=reverse)
     # i! t_i = sum_j C(i, j) (-1)^(i-j) sigma_j, an integer
-    scaled = [sum((-1) ** (i - j) * math.comb(i, j) * counters[j]
-                  for j in range(i + 1))
-              for i in range(horizon + 1)]
+    scaled = forward_differences(counters)
     for i in range(n, horizon + 1):
         if scaled[i] != 0:
             raise DeconvolutionTailError(
@@ -400,14 +399,11 @@ def staircase_companion(n: int) -> Polynomial:
 def _staircase_coefficients(n: int, horizon: int) -> list[int]:
     """i! a(n, i) for i = 0..horizon by deconvolution of the f(n, .) row.
 
-    a(n, i) = f(n, i)/i! - sum_{k<i} a(n, k)/(i-k)!, so the scaled values
-    s_i = i! a(n, i) satisfy s_i = f(n, i) - sum_{k<i} C(i, k) s_k.
+    a(n, i) = f(n, i)/i! - sum_{k<i} a(n, k)/(i-k)!, so i! a(n, i) is the
+    i-th forward difference of f(n, .) at 0.
     """
-    scaled: list[int] = []
-    for i in range(horizon + 1):
-        scaled.append(staircase_path_counter(n, i)
-                      - sum(math.comb(i, k) * s for k, s in enumerate(scaled)))
-    return scaled
+    return forward_differences(staircase_path_counter(n, i)
+                               for i in range(horizon + 1))
 
 
 def staircase_data(n: int, horizon: int | None = None) -> StaircaseData:

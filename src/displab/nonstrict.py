@@ -3,26 +3,29 @@
 Directed cycles no longer kill the count, they force equality, so the
 counter factors through the strong-component quotient.  On the quotient
 P the counter is Stanley's order polynomial Omega(P, i), of degree |P| in
-the size i: ``order_polynomial`` computes it once, in the binomial basis,
-by the subset recursion of the strict counter (weak components split at
-every state, peel side chosen per call, the same state cap) with an
-inclusion-exclusion over peelable subsets in place of single peels, and
-every size is a value of it.  Its top coefficient times |P|! is the strict
-counter, and (-1)^|P| Omega(P, -i) counts the strictly decreasing maps
-into {1..i} (reciprocity).  ``nonstrict_bruteforce`` is the oracle.
+the size i.  ``order_polynomial`` computes its values at 0..|P| by the
+subset recursion of the strict counter (weak components split at every
+state and joined by pointwise products, peel side chosen per call, the
+same state cap) with an inclusion-exclusion over peelable subsets in place
+of single peels; their forward differences are its coefficients in the
+binomial basis, and every size is a value of it.  Its top coefficient
+times |P|! is the strict counter, and (-1)^|P| Omega(P, -i) counts the
+strictly decreasing maps into {1..i} (reciprocity).
+``nonstrict_bruteforce`` is the oracle.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from .algebra import Polynomial, TruncatedSeries
-from .combinatorics import binomial
+from .combinatorics import binomial, forward_differences
 from .counting import _PeelTable
 from .errors import SizeLimitError
-from .graph import SimpleDigraph, full_mask, iter_mask, mask_size
+from .graph import SimpleDigraph, full_mask, iter_mask
 
 BRUTE_FORCE_BUDGET = 10_000_000
 CONDENSED_ORDER_LIMIT = 20
@@ -53,74 +56,43 @@ def nonstrict_bruteforce(d: SimpleDigraph, i: int) -> int:
 class NonStrictCounter(_PeelTable):
     """Order polynomials of the induced subgraphs of one acyclic digraph.
 
-    ``memo`` maps a mask to the order polynomial of the subgraph it induces,
-    in the binomial basis: integers c with
-    Omega_S(i) = sum_k c_k C(i, k).  A disconnected S is the product of
-    its weak components.  For a connected S, inclusion-exclusion over the
-    nonempty subsets T of the sinks of S gives
+    ``memo`` maps a mask to the values Omega_S(0), ..., Omega_S(n) of the
+    order polynomial of the subgraph it induces, where n is the order of
+    the digraph; they fix Omega_S, whose degree |S| is at most n.  The
+    empty set has Omega = 1, and a disconnected S multiplies the values of
+    its weak components pointwise.  For a connected S, inclusion-exclusion
+    over the nonempty subsets T of the sinks of S gives
 
         Omega_S(i) = sum_{1<=j<=i} sum_T (-1)^(|T|+1) Omega_{S-T}(j),
 
-    and the sum over j maps C(j, k) to C(i, k+1) + C(i, k) - [k=0], so each
-    state costs one pass over integer coefficient tuples, whatever the size.
+    so each state costs one signed sum of value tuples and one prefix sum.
     Omega_S is also the order polynomial of the reversal of S, so the same
     recurrence over sources gives the same values, and ``order_polynomial``
     picks the side per call as ``count`` does, under the same state cap.
-    The empty set has Omega = 1.
     """
 
     def __init__(self, d: SimpleDigraph):
         if not d.is_acyclic():
             raise ValueError("NonStrictCounter needs an acyclic digraph")
-        super().__init__(d, (1,))
+        super().__init__(d, (1,) * (d.n + 1))
 
     def _join(self, mask: int, comps: list[int]) -> tuple[int, ...]:
-        result = (1,)
-        for c in comps:
-            result = _binomial_basis_product(result, self._value(c, True))
-        return result
+        values = [self._value(c, True) for c in comps]
+        return tuple(map(math.prod, zip(*values)))
 
     def _peel(self, mask: int) -> tuple[int, ...]:
-        blocked = self._blocked
-        peelable = [u for u in iter_mask(mask) if blocked[u] & mask == 0]
-        # diff[k] is the C(j, k) coefficient of the inner sum over T
-        diff = [0] * (mask_size(mask) + 1)
-        for size, sub in _subsets_with_size(peelable):
-            sign = 1 if size % 2 == 1 else -1
-            for k, c in enumerate(self._value(mask & ~sub)):
-                diff[k] += sign * c
-        # Omega_S(0) = 0, and C(i, k+1) collects diff[k] + diff[k+1]
-        return (0,) + tuple(a + b for a, b in zip(diff, diff[1:]))
-
-
-def _binomial_basis_product(p: tuple[int, ...],
-                            q: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two polynomials given in the binomial basis, by
-
-        C(X, a) C(X, b) = sum_{max(a,b) <= k <= a+b} C(k, a) C(a, k-b) C(X, k).
-    """
-    out = [0] * (len(p) + len(q) - 1)
-    for a, pa in enumerate(p):
-        for b, qb in enumerate(q):
-            if pa and qb:
-                for k in range(max(a, b), a + b + 1):
-                    out[k] += pa * qb * math.comb(k, a) * math.comb(a, k - b)
-    return tuple(out)
-
-
-def _subsets_with_size(vertices: list[int]):
-    """Nonempty subsets of a vertex list as (popcount, mask) pairs."""
-    k = len(vertices)
-    for bits in range(1, 1 << k):
-        sub = 0
-        size = 0
-        b = bits
-        while b:
-            low = b & -b
-            sub |= 1 << vertices[low.bit_length() - 1]
-            size += 1
-            b ^= low
-        yield size, sub
+        # (T, -(-1)^|T|) for every subset T of the peelable vertices
+        terms = [(0, -1)]
+        for u in iter_mask(mask):
+            if self._blocked[u] & mask == 0:
+                terms += [(sub | 1 << u, -sign) for sub, sign in terms]
+        # diff[j] is the inner sum over nonempty T at size j
+        diff = [0] * len(self.memo[0])
+        for sub, sign in terms[1:]:
+            add = operator.add if sign > 0 else operator.sub
+            diff = list(map(add, diff, self._value(mask & ~sub)))
+        # Omega_S(0) = 0, and Omega_S(i) sums diff over 1 <= j <= i
+        return tuple(accumulate(diff[1:], initial=0))
 
 
 def order_polynomial(d: SimpleDigraph) -> Polynomial:
@@ -134,11 +106,11 @@ def order_polynomial(d: SimpleDigraph) -> Polynomial:
     if cond.n > CONDENSED_ORDER_LIMIT:
         raise SizeLimitError(
             f"condensed order {cond.n} exceeds the cap {CONDENSED_ORDER_LIMIT}")
-    return _from_binomial_basis(
-        NonStrictCounter(cond)._count(full_mask(cond.n)))
+    return _from_binomial_basis(forward_differences(
+        NonStrictCounter(cond)._count(full_mask(cond.n))))
 
 
-def _from_binomial_basis(coeffs: tuple[int, ...]) -> Polynomial:
+def _from_binomial_basis(coeffs: list[int]) -> Polynomial:
     """sum_k c_k C(X, k) in the power basis, in integers until the end."""
     n = len(coeffs) - 1
     scaled = [0] * (n + 1)  # n! times the power-basis coefficients

@@ -34,3 +34,13 @@ def all_digraphs(n):
     for bits in range(1 << len(pairs)):
         arcs = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         yield SimpleDigraph(n, arcs)
+
+
+def disjoint_union(*digraphs):
+    """The digraphs side by side, each relabeled after the ones before."""
+    arcs = []
+    n = 0
+    for d in digraphs:
+        arcs += [(u + n, v + n) for u, v in d.arcs]
+        n += d.n
+    return SimpleDigraph(n, arcs)

@@ -451,6 +451,20 @@ def test_size_above_cap_refused_before_computing(argv, option):
     assert proc.stderr.startswith(f"error: {option} ") and "cap" in proc.stderr
 
 
+@pytest.mark.parametrize("kind", [
+    "exp:" + "9" * 300, "nspath-size:" + "9" * 300, "bessel:0," + "9" * 300])
+def test_oversized_series_parameter_refused_before_building(kind):
+    # building these coefficients would take minutes before the print
+    # check could refuse them
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, "series", "--kind", kind,
+         "--order", "2000"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error:") and "too long" in proc.stderr
+
+
 def test_sizes_at_the_caps_are_accepted(capsys):
     code, out, _ = run(capsys, "nonstrict", "--family", "path:2",
                        "--max-size", "10000", "--format", "json")

@@ -30,8 +30,8 @@ from displab.families import (build_family, make_empty, make_path,
                               make_staircase, make_star, make_two_row,
                               staircase_counter, two_row_counter)
 from displab.graph import Multidigraph, SimpleDigraph, full_mask, normalize
-from helpers import (random_acyclic_digraph, random_simple_digraph,
-                     random_tree_parents)
+from helpers import (disjoint_union, random_acyclic_digraph,
+                     random_simple_digraph, random_tree_parents)
 
 from displab import golden
 
@@ -286,6 +286,22 @@ def test_height_counts_match_enumeration():
             for f in enumerate_dispositions(d):
                 expected[f[v] - 1] += 1
         assert height_counts(d, v) == tuple(expected), (sorted(d.arcs), v)
+
+
+@pytest.mark.parametrize("specs", [
+    ("staircase:5", "tworow:2,3"),
+    ("staircase:4", "tworow:1,2", "path:2"),
+    ("path:5", "path:4", "path:3"),
+    ("star:3", "empty:1", "path:8")])
+def test_height_counts_of_disjoint_unions(specs):
+    # v's component is interleaved with a rest of up to 10 vertices
+    d = disjoint_union(*(build_family(spec, 64)[0] for spec in specs))
+    dispositions = enumerate_dispositions(d)
+    for v in range(d.n):
+        expected = [0] * d.n
+        for f in dispositions:
+            expected[f[v] - 1] += 1
+        assert height_counts(d, v) == tuple(expected), (specs, v)
 
 
 @pytest.mark.parametrize("spec, vertex, states", [

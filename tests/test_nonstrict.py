@@ -20,7 +20,8 @@ from displab.nonstrict import (NonStrictCounter, nonstrict_bruteforce, nonstrict
                                nonstrict_path_series,
                                nonstrict_path_series_fixed_size,
                                nonstrict_two_row, order_polynomial)
-from helpers import random_acyclic_digraph, random_simple_digraph
+from helpers import (disjoint_union, random_acyclic_digraph,
+                     random_simple_digraph)
 
 
 def test_bruteforce_examples():
@@ -140,6 +141,22 @@ def test_order_polynomial_of_stars():
         omega = order_polynomial(make_star(20, center_out=center_out))
         for i in (1, 2, 3, 7, 30):
             assert omega(i) == sum(j**19 for j in range(1, i + 1))
+
+
+def test_memo_holds_order_polynomial_values():
+    # the recursion's value of a set is Omega at sizes 0..n, so the full
+    # set's value is the counter at every size up to the order
+    rng = random.Random(77)
+    digraphs = [random_acyclic_digraph(rng, rng.randint(0, 6))
+                for _ in range(40)]
+    digraphs += [disjoint_union(random_acyclic_digraph(rng, rng.randint(1, 3)),
+                                random_acyclic_digraph(rng, rng.randint(1, 3)))
+                 for _ in range(20)]
+    digraphs.append(disjoint_union(make_path(2), make_star(3), make_empty(1)))
+    for d in digraphs:
+        values = NonStrictCounter(d)._count(full_mask(d.n))
+        assert values == tuple(nonstrict_bruteforce(d, i)
+                               for i in range(d.n + 1)), sorted(d.arcs)
 
 
 @pytest.mark.parametrize("spec, states", [("staircase:14", 36),
