@@ -172,8 +172,6 @@ def _cmd_companion(args) -> int:
 
 
 def _cmd_ode(args) -> int:
-    from .companion import staircase_companion
-    from .graph import check_mask_limit
     from .ode import (catalan_ode, laguerre_equation, laguerrean_reflected,
                       two_row_ode)
 
@@ -191,6 +189,9 @@ def _cmd_ode(args) -> int:
             raise ParseError(f"bad --tworow {args.tworow!r}") from exc
         ode = two_row_ode(n1, n2, args.r)
     elif args.staircase is not None:
+        from .companion import staircase_companion
+        from .graph import check_mask_limit
+
         # n is the order of the zigzag digraph: the counters' hard vertex cap
         check_mask_limit(args.staircase, "ode --staircase")
         ode = laguerrean_reflected(staircase_companion(args.staircase))
@@ -206,12 +207,13 @@ def _cmd_ode(args) -> int:
 
 def _cmd_gram(args) -> int:
     from .algebra import format_rational
-    from .companion import catalan_polynomial
     from .orthogonality import gram, laguerre_gram
 
     if (args.catalan is None) == (args.laguerre is None):
         raise ParseError("give exactly one of --catalan or --laguerre")
     if args.catalan is not None:
+        from .companion import catalan_polynomial
+
         _at_least(args.catalan, 1, "--catalan")
         _at_most(args.catalan, GRAM_SIZE_LIMIT, "--catalan")
         polys = [catalan_polynomial(k) for k in range(1, args.catalan + 1)]
@@ -231,7 +233,7 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_nonstrict(args) -> int:
-    from .nonstrict import order_polynomial
+    from .nonstrict import nonstrict_counts
 
     sources = args.family or []
     if args.file:
@@ -244,10 +246,7 @@ def _cmd_nonstrict(args) -> int:
     cap = _max_order(args)
     for src in sources:
         d, _ = _load_digraph(src, cap)
-        omega = order_polynomial(d)
-        # Omega is an integer combination of binomials C(i, k)
-        rows.append((src, [int(omega(i))
-                           for i in range(1, args.max_size + 1)]))
+        rows.append((src, nonstrict_counts(d, range(1, args.max_size + 1))))
     if args.format == "json":
         _emit(_json({src: values for src, values in rows}))
     else:
@@ -259,15 +258,27 @@ def _cmd_nonstrict(args) -> int:
     return 0
 
 
-def _refuse_too_long(bits: int | None = None) -> None:
-    """Refuse a series coefficient that failed to print, or one of at least
-    2^bits, which has more than 3 bits / 10 digits (log10(2) > 3/10)."""
+def _refuse_too_long(num: int | None = None, den: int = 1) -> None:
+    """Refuse a series coefficient that failed to print, or num / den when,
+    reduced, its numerator or denominator has too many digits."""
     # 0, no limit, as in CPython before 3.11
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if bits is None or (limit and bits * 3 // 10 >= limit):
+    if num is None or (limit and max(abs(num), den) // math.gcd(num, den)
+                       >= 10 ** limit):
         raise SizeLimitError(
             f"a series coefficient has more than {limit} digits, too long "
             f"to print; lower --order")
+
+
+def _refuse_power(base: int, exponent: int, den: int) -> None:
+    """Refuse, from bit lengths, a coefficient at least |base|^exponent /
+    den that no reduction makes short enough to print: on parameters of
+    thousands of digits the exact check takes seconds."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 10^limit < 2^(4 limit)
+    if limit and ((abs(base).bit_length() - 1) * exponent
+                  >= den.bit_length() + 4 * limit):
+        _refuse_too_long()
 
 
 def _cmd_series(args) -> int:
@@ -278,26 +289,34 @@ def _cmd_series(args) -> int:
     order = args.order
     _at_most(order, SERIES_ORDER_LIMIT, "--order")
     kind, _, rest = args.kind.partition(":")
-    # the bits below bound log2 of the top coefficient: 2^(len-1) <= x < 2^len
-    fact = math.factorial(order).bit_length()  # len(order!)
+    fact = math.factorial(order)
+    # each kind refuses before building when its last nonzero coefficient
+    # cannot print
     try:
         if kind == "nspaths":
+            _refuse_too_long(math.comb(max(2 * order - 1, 0), order), fact)
             series = nonstrict_path_series(order)
         elif kind == "nspath-size":
             j = int(rest)
-            # C(j+i-1, i) / i! >= j^i / i!^2
-            _refuse_too_long(order * (max(j, 1).bit_length() - 1) - 2 * fact)
+            if j >= 1:
+                # C(j+order-1, order) / order! = j(j+1)...(j+order-1) / order!^2
+                _refuse_power(j, order, fact * fact)
+                _refuse_too_long(math.perm(j + order - 1, order), fact * fact)
             series = nonstrict_path_series_fixed_size(j, order)
         elif kind == "exp":
             c = int(rest or 1)
-            _refuse_too_long(order * (abs(c).bit_length() - 1) - fact)
+            _refuse_power(c, order, fact)
+            _refuse_too_long(c ** order, fact)
             series = exp_series(c, order)
         elif kind == "bessel":
             m, k = (int(x) for x in rest.split(","))
             if 0 <= m <= order:
-                # k^e / (2^e s! (m+s)!) at e = m+2s >= order-1, m+s <= order
-                _refuse_too_long(
-                    (order - 1) * (abs(k).bit_length() - 2) - 2 * fact)
+                # the X^e coefficient, e = m + 2s, is k^e / (2^e s! (m+s)!)
+                s = (order - m) // 2
+                e = m + 2 * s
+                den = 2 ** e * math.factorial(s) * math.factorial(m + s)
+                _refuse_power(k, e, den)
+                _refuse_too_long(k ** e, den)
             series = bessel_i_series(m, k, order)
         else:
             raise ParseError(f"unknown series kind {args.kind!r}")

@@ -3,10 +3,9 @@
 Attaching longer and longer directed paths at a vertex v of a digraph G
 produces a counter sequence sigma(G_0), sigma(G_1), ...; its exponential
 generating series equals T(X) exp(X) for a unique polynomial T of degree
-at most n-1, the companion polynomial of G at v.  Two independent routes
-compute it here: series deconvolution of the counter sequence by exp(-X),
-and the height distribution of v, N_k = the number of dispositions with
-f(v) = k, counted by the shared subset kernel of ``counting``.  A path
+at most n-1, the companion polynomial of G at v.  Both come from the
+height distribution of v, N_k = the number of dispositions with f(v) = k,
+counted by the shared subset kernel of ``counting``: a path of length i
 attached below v fits C(k-1+i, i) ways, and by Kummer's transformation
 sum_i C(k-1+i, i) X^i/i! = exp(X) L_{k-1}(-X), so T = sum_k N_k L_{k-1}(-X).
 """
@@ -21,7 +20,6 @@ from typing import NamedTuple
 from .algebra import Polynomial, _mul_vectors, laguerre, monomial, pochhammer
 from .combinatorics import binomial, forward_differences
 from .counting import CounterTable
-from .errors import DeconvolutionTailError
 from .families import staircase_counter, two_row_counter
 from .graph import SimpleDigraph, full_mask, mask_size
 from .ode import laguerre_basis_decompose
@@ -33,19 +31,10 @@ from .ode import laguerre_basis_decompose
 
 def counters_along_path(d: SimpleDigraph, v: int, horizon: int,
                         reverse: bool = False) -> list[int]:
-    """[sigma(d with a length-i path attached at v) for i = 0..horizon].
-
-    The digraph with a length-i path is the subgraph of the one with the
-    full horizon induced on its first n + i vertices, so one table serves
-    every i.
-    """
-    g = d.attach_path(v, horizon, reverse=reverse)
-    if g.had_loop:
-        return [0] * (horizon + 1)
-    table = CounterTable(g)
-    if not g.is_acyclic():
-        return [0] * (horizon + 1)
-    return [table._count(full_mask(d.n + i)) for i in range(horizon + 1)]
+    """[sigma(d with a length-i path attached at v) for i = 0..horizon]."""
+    if horizon < 0:
+        raise ValueError("path length must be nonnegative")
+    return list(_companion(d, v, reverse, horizon).counters)
 
 
 def counter_minus_one(d: SimpleDigraph, v: int) -> int:
@@ -140,26 +129,8 @@ class CompanionResult(NamedTuple):
 
 def companion_from_counters(d: SimpleDigraph, v: int,
                             reverse: bool = False) -> CompanionResult:
-    """Companion polynomial by series deconvolution.
-
-    t_i = sum_{j<=i} sigma_j/j! * (-1)^{i-j}/(i-j)! for i < n, and the same
-    expression must vanish for i = n..2n-1; running the deconvolution past
-    the degree bound turns the uniqueness argument into a self-test.
-    """
-    n = d.n
-    if n < 1:
-        raise ValueError("companion polynomials need at least one vertex")
-    horizon = 2 * n - 1
-    counters = counters_along_path(d, v, horizon, reverse=reverse)
-    # i! t_i = sum_j C(i, j) (-1)^(i-j) sigma_j, an integer
-    scaled = forward_differences(counters)
-    for i in range(n, horizon + 1):
-        if scaled[i] != 0:
-            raise DeconvolutionTailError(
-                f"deconvolution coefficient {i} = "
-                f"{Fraction(scaled[i], math.factorial(i))} should vanish")
-    return CompanionResult(_over_factorials(scaled[:n]), tuple(counters), v,
-                           dual=reverse)
+    """Companion polynomial and counters sigma(G_0..G_{2n-1}) from N."""
+    return _companion(d, v, reverse, 2 * d.n - 1)
 
 
 def _over_factorials(scaled: list[int]) -> Polynomial:
@@ -172,22 +143,28 @@ def _over_factorials(scaled: list[int]) -> Polynomial:
 
 def companion_by_heights(d: SimpleDigraph, v: int,
                          reverse: bool = False) -> CompanionResult:
-    """Companion polynomial and counters sigma(G_0..G_{n-1}) from N.
+    """Companion polynomial and counters sigma(G_0..G_{n-1}) from N."""
+    return _companion(d, v, reverse, d.n - 1)
+
+
+def _companion(d: SimpleDigraph, v: int, reverse: bool,
+               horizon: int) -> CompanionResult:
+    """T and sigma(G_0..G_horizon) from one height distribution N.
 
     sigma(G_i) = sum_k N_k C(k-1+i, i), and the X^i coefficient of
     T = sum_k N_k L_{k-1}(-X) is sum_k N_k C(k-1, i) / i!.  Reversal maps
-    f to n + 1 - f, so reversed paths read N backwards.
+    f to n + 1 - f, so reversed paths read N backwards.  With no vertex,
+    v is out of range.
     """
     heights = height_counts(d, v)
     if reverse:
         heights = heights[::-1]
-    n = len(heights)
     poly = _over_factorials(
         [sum(c * math.comb(k, i) for k, c in enumerate(heights))
-         for i in range(n)])
+         for i in range(d.n)])
     counters = tuple(sum(c * math.comb(k + i, i)
                          for k, c in enumerate(heights))
-                     for i in range(n))
+                     for i in range(horizon + 1))
     return CompanionResult(poly, counters, v, dual=reverse)
 
 

@@ -16,10 +16,3 @@ class SizeLimitError(DisplabError):
 class CapExceededError(DisplabError):
     """An enumeration would produce more objects than the configured cap."""
 
-
-class DeconvolutionTailError(DisplabError):
-    """The series deconvolution did not terminate where theory says it must.
-
-    Raised when the coefficients beyond the guaranteed degree bound fail to
-    vanish; this always indicates a counting bug upstream, never bad input.
-    """

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import accumulate, product
+from typing import Iterable
 
-from .algebra import Polynomial, TruncatedSeries
 from .combinatorics import binomial, forward_differences
 from .counting import _PeelTable
 from .errors import SizeLimitError
-from .graph import SimpleDigraph, full_mask, iter_mask
+from .graph import SimpleDigraph, full_mask, iter_mask, mask_size
 
 BRUTE_FORCE_BUDGET = 10_000_000
 CONDENSED_ORDER_LIMIT = 20
@@ -81,16 +80,16 @@ class NonStrictCounter(_PeelTable):
         return tuple(map(math.prod, zip(*values)))
 
     def _peel(self, mask: int) -> tuple[int, ...]:
-        # (T, -(-1)^|T|) for every subset T of the peelable vertices
-        terms = [(0, -1)]
-        for u in iter_mask(mask):
-            if self._blocked[u] & mask == 0:
-                terms += [(sub | 1 << u, -sign) for sub, sign in terms]
-        # diff[j] is the inner sum over nonempty T at size j
+        peelable = sum(1 << u for u in iter_mask(mask)
+                       if self._blocked[u] & mask == 0)
+        # diff[j] is the inner sum over nonempty T at size j; the subsets T
+        # come one at a time, so a try out of states stops at once
         diff = [0] * len(self.memo[0])
-        for sub, sign in terms[1:]:
-            add = operator.add if sign > 0 else operator.sub
+        sub = peelable & -peelable
+        while sub:
+            add = operator.add if mask_size(sub) & 1 else operator.sub
             diff = list(map(add, diff, self._value(mask & ~sub)))
+            sub = (sub - peelable) & peelable
         # Omega_S(0) = 0, and Omega_S(i) sums diff over 1 <= j <= i
         return tuple(accumulate(diff[1:], initial=0))
 
@@ -102,35 +101,44 @@ def order_polynomial(d: SimpleDigraph) -> Polynomial:
     Condenses first (quotient invariance); Omega has degree equal to the
     order of the condensation.
     """
+    from .algebra import X
+
+    top, (value,) = _scaled_values(d, (X,))
+    return value / top
+
+
+def nonstrict_counts(d: SimpleDigraph, sizes: Iterable[int]) -> list[int]:
+    """Non-strict counters Omega(i) for each size i >= 0, in integers."""
+    top, values = _scaled_values(d, sizes)
+    return [value // top for value in values]
+
+
+def _scaled_values(d: SimpleDigraph, xs) -> tuple[int, list]:
+    """m! and m! Omega(x) for each integer or polynomial x, where m is the
+    order of the condensation.  The forward differences c_k of Omega at 0
+    give Omega(x) = sum_k c_k C(x, k), so m! Omega(x) is the sum of
+    c_k m!/k! x(x-1)...(x-k+1), by Horner's rule."""
     cond = d.condense()
     if cond.n > CONDENSED_ORDER_LIMIT:
         raise SizeLimitError(
             f"condensed order {cond.n} exceeds the cap {CONDENSED_ORDER_LIMIT}")
-    return _from_binomial_basis(forward_differences(
-        NonStrictCounter(cond)._count(full_mask(cond.n))))
-
-
-def _from_binomial_basis(coeffs: list[int]) -> Polynomial:
-    """sum_k c_k C(X, k) in the power basis, in integers until the end."""
-    n = len(coeffs) - 1
-    scaled = [0] * (n + 1)  # n! times the power-basis coefficients
-    falling = [1]  # X(X-1)...(X-k+1), lowest degree first
-    for k, c in enumerate(coeffs):
-        weight = c * (math.factorial(n) // math.factorial(k))
-        for j, f in enumerate(falling):
-            scaled[j] += weight * f
-        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
-    return Polynomial.from_numerators(scaled, math.factorial(n))
+    m = cond.n
+    weights = [c * math.perm(m, m - k) for k, c in enumerate(
+        forward_differences(NonStrictCounter(cond)._count(full_mask(m))))]
+    values = []
+    for x in xs:
+        acc = 0
+        for k in range(m, -1, -1):
+            acc = acc * (x - k) + weights[k]
+        values.append(acc)
+    return math.factorial(m), values
 
 
 def nonstrict_count(d: SimpleDigraph, i: int) -> int:
     """Non-strict counter of size i: the order polynomial's value at i."""
     if i < 0:
         raise ValueError("size must be nonnegative")
-    value = order_polynomial(d)(i)
-    if value.denominator != 1:
-        raise AssertionError(f"order polynomial gave non-integer {value}")
-    return int(value)
+    return nonstrict_counts(d, (i,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +167,11 @@ def nonstrict_two_row(n1: int, n2: int, i: int) -> int:
         raise ValueError("need 0 <= n1 <= n2")
     if i < 1:
         raise ValueError("size must be at least 1")
-    value = ((1 + Fraction(n1 * (1 - i), (n2 + 1) * i))
-             * nonstrict_path(n1, i) * nonstrict_path(n2, i))
-    if value.denominator != 1:
-        raise AssertionError(f"two-row closed form gave non-integer {value}")
-    return int(value)
+    value, rem = divmod(((n2 + 1) * i + n1 * (1 - i)) * nonstrict_path(n1, i)
+                        * nonstrict_path(n2, i), (n2 + 1) * i)
+    if rem:
+        raise AssertionError("two-row closed form gave a non-integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +183,12 @@ def nonstrict_path_series_fixed_size(j: int, order: int) -> TruncatedSeries:
 
     Equals exp(X) L_{j-1}(-X) as a series.
     """
+    from .algebra import series_from_counters
+
     if j < 1:
         raise ValueError("size must be at least 1")
-    return TruncatedSeries(
-        Fraction(binomial(j + i - 1, i), math.factorial(i))
-        for i in range(order + 1))
+    return series_from_counters(
+        [binomial(j + i - 1, i) for i in range(order + 1)])
 
 
 def nonstrict_path_series(order: int) -> TruncatedSeries:
@@ -188,6 +197,7 @@ def nonstrict_path_series(order: int) -> TruncatedSeries:
     The i = 0 term is 1 (order-0 convention); the series equals
     (1 + exp(2X) I_0(2X)) / 2.
     """
-    return TruncatedSeries(
-        Fraction(binomial(2 * i - 1, i), math.factorial(i))
-        for i in range(order + 1))
+    from .algebra import series_from_counters
+
+    return series_from_counters(
+        [binomial(2 * i - 1, i) for i in range(order + 1)])

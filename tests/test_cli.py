@@ -278,6 +278,15 @@ def test_output_is_deterministic(capsys):
     assert out3 == out4
 
 
+def test_counters_route_past_twenty_one_vertices(capsys):
+    argv = ["companion", "--family", "staircase:22", "--vertex", "v1",
+            "--max-order", "63"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    code, by_heights, _ = run(capsys, *argv, "--route", "recurrence")
+    assert code == 0 and out == by_heights
+
+
 def test_requires_input_source(capsys):
     code, _, err = run(capsys, "count")
     assert code == 2 and "family" in err
@@ -346,6 +355,16 @@ print(sum(t.is_alive() for t in threads), len(seen), bad)
 @pytest.mark.parametrize("argv, unused", [
     (["count", "--family", "path:3"], ("json", "fractions", "decimal")),
     (["families", "--spec", "path:1"], ("fractions", "decimal")),
+    (["nonstrict", "--family", "path:3", "--max-size", "4"],
+     ("json", "fractions", "decimal", "displab.algebra")),
+    (["ode", "--catalan", "3"], ("displab.companion", "displab.counting",
+                                 "displab.families", "displab.graph")),
+    (["ode", "--tworow", "2,3"], ("displab.companion", "displab.counting",
+                                  "displab.families", "displab.graph")),
+    (["ode", "--laguerre", "3"], ("displab.companion", "displab.counting",
+                                  "displab.families", "displab.graph")),
+    (["gram", "--laguerre", "3"], ("displab.companion", "displab.counting",
+                                   "displab.families", "displab.graph")),
 ])
 def test_integer_paths_load_no_json_or_fractions(argv, unused):
     out = fresh_python(f"""
@@ -463,6 +482,28 @@ def test_oversized_series_parameter_refused_before_building(kind):
         env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 1 and proc.stdout == "", proc.stderr
     assert proc.stderr.startswith("error:") and "too long" in proc.stderr
+
+
+@pytest.mark.parametrize("kind", [
+    "nspath-size:134217727", "exp:131071", "bessel:0,268435455",
+    "nspath-size:1000", "exp:3", "nspaths"])
+def test_unprintable_series_refused_before_building(capsys, monkeypatch,
+                                                     kind):
+    def never(*args):
+        raise AssertionError("the series was built")
+
+    from displab import algebra, nonstrict
+
+    for module, name in ((algebra, "exp_series"),
+                         (algebra, "bessel_i_series"),
+                         (nonstrict, "nonstrict_path_series"),
+                         (nonstrict, "nonstrict_path_series_fixed_size")):
+        monkeypatch.setattr(module, name, never)
+    code, out, err = run(capsys, "series", "--kind", kind, "--order", "2000")
+    assert code == 1 and out == ""
+    assert err == (f"error: a series coefficient has more than "
+                   f"{sys.get_int_max_str_digits()} digits, too long to "
+                   f"print; lower --order\n")
 
 
 def test_sizes_at_the_caps_are_accepted(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -141,6 +142,18 @@ def test_order_polynomial_of_stars():
         omega = order_polynomial(make_star(20, center_out=center_out))
         for i in (1, 2, 3, 7, 30):
             assert omega(i) == sum(j**19 for j in range(1, i + 1))
+
+
+def test_star_sink_peel_lists_no_subsets_ahead():
+    # the 19 leaves are the sinks: the sinks try runs out of states, and
+    # must stop without first listing all 2^19 leaf subsets (about 100 MB)
+    tracemalloc.start()
+    try:
+        order_polynomial(make_star(20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_memo_holds_order_polynomial_values():
