@@ -21,12 +21,14 @@ from .errors import DisplabError, ParseError, SizeLimitError
 
 DEFAULT_MAX_ORDER = 20
 # the largest accepted `gram --catalan/--laguerre N` (`gram --catalan 100`
-# takes about 1.5 s), `nonstrict --max-size N`, `families --spec` order
-# (`path:100000` takes about 1 s and 64 MB), `series --order` (past it
+# takes about 1.5 s), `ode --staircase N` (150 takes about 1.1 s and 19 MB,
+# nearly all in `laguerrean`), `nonstrict --max-size N`, `families --spec`
+# order (`path:100000` takes about 1 s and 64 MB), `series --order` (past it
 # every kind but exp:0 has a coefficient too long to print) and
 # `dispositions --cap` (499,488 dispositions of 12 vertices take about 6 s
 # and 200 MB)
 GRAM_SIZE_LIMIT = 100
+STAIRCASE_ORDER_LIMIT = 150
 MAX_SIZE_LIMIT = 10_000
 SPEC_ORDER_LIMIT = 100_000
 SERIES_ORDER_LIMIT = 2_000
@@ -190,10 +192,8 @@ def _cmd_ode(args) -> int:
         ode = two_row_ode(n1, n2, args.r)
     elif args.staircase is not None:
         from .companion import staircase_companion
-        from .graph import check_mask_limit
 
-        # n is the order of the zigzag digraph: the counters' hard vertex cap
-        check_mask_limit(args.staircase, "ode --staircase")
+        _at_most(args.staircase, STAIRCASE_ORDER_LIMIT, "--staircase")
         ode = laguerrean_reflected(staircase_companion(args.staircase))
     else:
         _at_least(args.laguerre, 0, "--laguerre")
@@ -287,6 +287,7 @@ def _cmd_series(args) -> int:
                             nonstrict_path_series_fixed_size)
 
     order = args.order
+    _at_least(order, 0, "--order")
     _at_most(order, SERIES_ORDER_LIMIT, "--order")
     kind, _, rest = args.kind.partition(":")
     fact = math.factorial(order)

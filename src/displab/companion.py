@@ -8,6 +8,7 @@ height distribution of v, N_k = the number of dispositions with f(v) = k,
 counted by the shared subset kernel of ``counting``: a path of length i
 attached below v fits C(k-1+i, i) ways, and by Kummer's transformation
 sum_i C(k-1+i, i) X^i/i! = exp(X) L_{k-1}(-X), so T = sum_k N_k L_{k-1}(-X).
+On the zigzag S_n, N of v1 is a row of the Seidel-Entringer triangle.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 from .algebra import Polynomial, _mul_vectors, laguerre, monomial, pochhammer
-from .combinatorics import binomial, forward_differences
+from .combinatorics import binomial
 from .counting import CounterTable
 from .families import staircase_counter, two_row_counter
 from .graph import SimpleDigraph, full_mask, mask_size
@@ -147,23 +149,27 @@ def companion_by_heights(d: SimpleDigraph, v: int,
     return _companion(d, v, reverse, d.n - 1)
 
 
+def _taylor_numerator(heights: Sequence[int], i: int) -> int:
+    """i! T_i = sum_k N_k C(k-1, i); zero once i >= len(N)."""
+    return sum(c * math.comb(k, i) for k, c in enumerate(heights))
+
+
+def _attached_counter(heights: Sequence[int], i: int) -> int:
+    """sigma(G_i) = sum_k N_k C(k-1+i, i)."""
+    return sum(c * math.comb(k + i, i) for k, c in enumerate(heights))
+
+
 def _companion(d: SimpleDigraph, v: int, reverse: bool,
                horizon: int) -> CompanionResult:
-    """T and sigma(G_0..G_horizon) from one height distribution N.
-
-    sigma(G_i) = sum_k N_k C(k-1+i, i), and the X^i coefficient of
-    T = sum_k N_k L_{k-1}(-X) is sum_k N_k C(k-1, i) / i!.  Reversal maps
-    f to n + 1 - f, so reversed paths read N backwards.  With no vertex,
-    v is out of range.
-    """
+    """T and sigma(G_0..G_horizon) from one height distribution N, read
+    backwards for reversed paths, since reversal maps f to n + 1 - f.
+    With no vertex, v is out of range."""
     heights = height_counts(d, v)
     if reverse:
         heights = heights[::-1]
-    poly = _over_factorials(
-        [sum(c * math.comb(k, i) for k, c in enumerate(heights))
-         for i in range(d.n)])
-    counters = tuple(sum(c * math.comb(k + i, i)
-                         for k, c in enumerate(heights))
+    poly = _over_factorials([_taylor_numerator(heights, i)
+                             for i in range(d.n)])
+    counters = tuple(_attached_counter(heights, i)
                      for i in range(horizon + 1))
     return CompanionResult(poly, counters, v, dual=reverse)
 
@@ -311,37 +317,23 @@ def two_row_companion_closed(n1: int, n2: int, r: int) -> Polynomial:
 # zigzag (staircase) data
 # ---------------------------------------------------------------------------
 
+def _staircase_heights(n: int) -> list[int]:
+    """N of v1 in S_n: row n-1 of the Seidel-Entringer triangle (Entringer,
+    1966), each row the running sums of the one before, reversed; [1] for
+    n = 0 as for n = 1, so that f(0, i) = 1."""
+    row = [1]
+    for _ in range(n - 1):
+        row = list(accumulate(reversed(row), initial=0))
+    return row
+
+
 def staircase_path_counter(n: int, i: int) -> int:
-    """f(n, i) = sigma(S_n with a length-i path attached at v1), by the
-    halving recurrence
-
-    f(n,i) = (f(n,i-1) + sum_j C(n+i-1, i+j) f(j,i) s_{n-1-j}) / 2
-
-    with f(0,i) = f(1,i) = 1 and f(n,0) = s_n.
-    """
+    """f(n, i) = sigma(S_n with a length-i path attached at v1), from the
+    height row of v1.  It satisfies the halving recurrence
+    2 f(n,i) = f(n,i-1) + sum_j C(n+i-1, i+j) f(j,i) s_{n-1-j}."""
     if n < 0 or i < 0:
         raise ValueError("indices must be nonnegative")
-    # filling the i direction in order finds every f(., i-1) cached, so the
-    # recursion only runs down n
-    for k in range(i):
-        _path_counter(n, k)
-    return _path_counter(n, i)
-
-
-@lru_cache(maxsize=None)
-def _path_counter(n: int, i: int) -> int:
-    if n <= 1:
-        return 1
-    if i == 0:
-        return staircase_counter(n)
-    total = _path_counter(n, i - 1)
-    for j in range(n):
-        total += (binomial(n + i - 1, i + j) * _path_counter(j, i)
-                  * staircase_counter(n - 1 - j))
-    half, rem = divmod(total, 2)
-    if rem:
-        raise AssertionError(f"halving recurrence broke at f({n},{i})")
-    return half
+    return _attached_counter(_staircase_heights(n), i)
 
 
 def staircase_path_counter_closed(n: int, i: int) -> int:
@@ -370,33 +362,25 @@ def staircase_companion(n: int) -> Polynomial:
     """Companion polynomial of the zigzag digraph S_n at v1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _over_factorials(_staircase_coefficients(n, n - 1))
-
-
-def _staircase_coefficients(n: int, horizon: int) -> list[int]:
-    """i! a(n, i) for i = 0..horizon by deconvolution of the f(n, .) row.
-
-    a(n, i) = f(n, i)/i! - sum_{k<i} a(n, k)/(i-k)!, so i! a(n, i) is the
-    i-th forward difference of f(n, .) at 0.
-    """
-    return forward_differences(staircase_path_counter(n, i)
-                               for i in range(horizon + 1))
+    heights = _staircase_heights(n)
+    return _over_factorials([_taylor_numerator(heights, i) for i in range(n)])
 
 
 def staircase_data(n: int, horizon: int | None = None) -> StaircaseData:
+    """The rows for i = 0..horizon (default 2n-1), with g always full."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if horizon is None:
         horizon = max(2 * n - 1, 0)
-    # the weight tuple needs the full companion even when the caller asks
-    # for a short row
-    full = _staircase_coefficients(n, max(horizon, n - 1))
-    f_row = tuple(staircase_path_counter(n, i) for i in range(horizon + 1))
-    s_gen = tuple(full[: horizon + 1])
+    elif horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    heights = _staircase_heights(n)
+    f_row = tuple(_attached_counter(heights, i) for i in range(horizon + 1))
+    s_gen = tuple(_taylor_numerator(heights, i) for i in range(horizon + 1))
     a = tuple(Fraction(s, math.factorial(i)) for i, s in enumerate(s_gen))
     if n >= 1:
-        poly = _over_factorials(full[:n])
-        raw = laguerre_basis_decompose(poly.compose_neg(), n - 1)
+        raw = laguerre_basis_decompose(
+            staircase_companion(n).compose_neg(), n - 1)
         g = tuple((-1) ** i * c for i, c in enumerate(raw))
     else:
         g = ()
@@ -405,4 +389,7 @@ def staircase_data(n: int, horizon: int | None = None) -> StaircaseData:
 
 def generalized_zigzag(i: int, count_values: int) -> list[int]:
     """The order-i generalized zigzag numbers i! a(n, i) for n = 0..count-1."""
-    return [_staircase_coefficients(n, i)[i] for n in range(count_values)]
+    if i < 0 or count_values < 0:
+        raise ValueError("order and count must be nonnegative")
+    return [_taylor_numerator(_staircase_heights(n), i)
+            for n in range(count_values)]

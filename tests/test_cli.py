@@ -209,8 +209,19 @@ def test_ode_bad_parameters_exit_two(capsys):
 
 
 def test_ode_staircase_above_vertex_cap_exits_one(capsys):
-    code, out, err = run(capsys, "ode", "--staircase", "64")
+    code, out, err = run(capsys, "ode", "--staircase", "151")
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_ode_staircase_past_mask_cap(capsys):
+    # the zigzag companion reads the Seidel-Entringer row, so it needs no
+    # subset mask and answers past 63 vertices
+    from displab.companion import staircase_companion
+    from displab.ode import Ode2, verify_ode
+
+    code, out, _ = run(capsys, "ode", "--staircase", "64", "--format", "json")
+    assert code == 0
+    assert verify_ode(Ode2.from_json(json.loads(out)), staircase_companion(64))
 
 
 def test_gram_csv(capsys):
@@ -245,6 +256,12 @@ def test_series(capsys):
                        "--order", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["coeffs"] == ["1", "2", "3/2"]
+
+
+def test_series_negative_order_exits_two(capsys):
+    code, out, err = run(capsys, "series", "--kind", "exp:1", "--order", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --order must be at least 0, got -1\n"
 
 
 def test_extremal_json(capsys):
@@ -461,6 +478,8 @@ def test_oversized_digraph_refused_before_building(tmp_path, argv):
     (("series", "--kind", "exp:0", "--order", "1000000"), "--order"),
     (("dispositions", "--family", "empty:12", "--cap",
       str(DISPOSITIONS_CAP_LIMIT + 1)), "--cap"),
+    (("ode", "--staircase", "151"), "--staircase"),
+    (("ode", "--staircase", "1000000000000"), "--staircase"),
 ])
 def test_size_above_cap_refused_before_computing(argv, option):
     env = dict(os.environ, PYTHONPATH=str(SRC))

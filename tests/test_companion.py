@@ -491,9 +491,22 @@ def test_staircase_path_counter_long_path():
 
 
 def test_staircase_companion_matches_recurrence_route():
-    for n in range(1, 9):
-        assert staircase_companion(n) == companion_by_recurrence(
-            make_staircase(n), 0)
+    # the subset kernel is the independent oracle for the Entringer row
+    for n in range(1, 41):
+        d = make_staircase(n)
+        assert staircase_companion(n) == companion_by_recurrence(d, 0), n
+        assert (list(staircase_data(n).f_row)
+                == counters_along_path(d, 0, 2 * n - 1)), n
+
+
+def test_staircase_path_counter_halving_identity():
+    # 2 f(n,i) = f(n,i-1) + sum_j C(n+i-1, i+j) f(j,i) s_{n-1-j}
+    f, s = staircase_path_counter, staircase_counter
+    for n in range(2, 13):
+        for i in range(1, 13):
+            assert 2 * f(n, i) == f(n, i - 1) + sum(
+                binomial(n + i - 1, i + j) * f(j, i) * s(n - 1 - j)
+                for j in range(n)), (n, i)
 
 
 def test_staircase_coefficient_closed_forms():
@@ -536,6 +549,16 @@ def test_staircase_data_tail_vanishes():
     # coefficients past degree n-1 must be zero: the degree bound in action
     data = staircase_data(4, horizon=9)
     assert all(x == 0 for x in data.a[4:])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generalized_zigzag(-1, 3),
+    lambda: generalized_zigzag(2, -1),
+    lambda: staircase_data(3, horizon=-1),
+])
+def test_zigzag_negative_index_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_staircase_data_short_horizon_keeps_full_g():
