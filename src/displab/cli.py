@@ -21,7 +21,7 @@ from .errors import DisplabError, ParseError, SizeLimitError
 
 DEFAULT_MAX_ORDER = 20
 # the largest accepted `gram --catalan/--laguerre N` (`gram --catalan 100`
-# takes about 1.5 s), `ode --staircase N` (150 takes about 1.1 s and 19 MB,
+# takes about 0.7 s), `ode --staircase N` (150 takes about 1.1 s and 19 MB,
 # nearly all in `laguerrean`), `nonstrict --max-size N`, `families --spec`
 # order (`path:100000` takes about 1 s and 64 MB), `series --order` (past it
 # every kind but exp:0 has a coefficient too long to print) and

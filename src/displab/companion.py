@@ -8,14 +8,14 @@ height distribution of v, N_k = the number of dispositions with f(v) = k,
 counted by the shared subset kernel of ``counting``: a path of length i
 attached below v fits C(k-1+i, i) ways, and by Kummer's transformation
 sum_i C(k-1+i, i) X^i/i! = exp(X) L_{k-1}(-X), so T = sum_k N_k L_{k-1}(-X).
-On the zigzag S_n, N of v1 is a row of the Seidel-Entringer triangle.
+On the zigzag S_n, N of v1 is a row of the Seidel-Entringer triangle, and
+on the two-row grid N of v_r counts ballot words.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -151,12 +151,12 @@ def companion_by_heights(d: SimpleDigraph, v: int,
 
 def _taylor_numerator(heights: Sequence[int], i: int) -> int:
     """i! T_i = sum_k N_k C(k-1, i); zero once i >= len(N)."""
-    return sum(c * math.comb(k, i) for k, c in enumerate(heights))
+    return sum(c * math.comb(k, i) for k, c in enumerate(heights) if c)
 
 
 def _attached_counter(heights: Sequence[int], i: int) -> int:
     """sigma(G_i) = sum_k N_k C(k-1+i, i)."""
-    return sum(c * math.comb(k + i, i) for k, c in enumerate(heights))
+    return sum(c * math.comb(k + i, i) for k, c in enumerate(heights) if c)
 
 
 def _companion(d: SimpleDigraph, v: int, reverse: bool,
@@ -192,33 +192,23 @@ def companion_dual(d: SimpleDigraph, v: int) -> Polynomial:
 # two-row digraphs: weights and companion polynomials at v_r
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def two_row_weight(n1: int, n2: int, r: int, i: int) -> Fraction:
-    """The weight of X^i d^i L_{n1+n2-r}(-X) in the two-row companion.
+def _two_row_heights(n1: int, n2: int, r: int) -> list[int]:
+    """N of v_r in the two-row grid of n = n1 + n2 vertices.
 
-    Five mutually exclusive recurrence cases, keyed on where (n1, n2) sits
-    relative to the diagonal and to n2 = r; every branch lowers n1 or n2.
+    Read from the top value down, a disposition is a ballot word in the
+    rows, the v-row letter never behind the u-row letter.  With a of the
+    u-vertices above it, v_r lands at value n + 1 - r - a; the r - 1 + a
+    letters above form a ballot word, and the low = n - r - a below one
+    that starts r - a letters ahead, counted by reflection.
     """
     if not (0 <= n1 <= n2 and 1 <= r <= n2):
         raise ValueError(f"bad two-row parameters ({n1},{n2},{r})")
-    if i > min(n1, r - 1):
-        return Fraction(0)
-    if n1 == 0:
-        return Fraction(1)  # i = 0 is the only surviving index
-    if n2 == r:
-        den = r * r + r + n1 * (1 - n1)
-        return (Fraction((i - n1) * (n1 - r - 2), den)
-                * two_row_weight(n1 - 1, r, r, i)
-                + Fraction(r * r + (1 - n1) * r - n1,
-                           math.factorial(i) * den))
-    if n1 == n2:
-        return (Fraction(2 * n1 - r - i, 2 * n1 - r)
-                * two_row_weight(n1 - 1, n1, r, i))
-    den = (n1 - n2 - 1) * (n1 + n2) * (n1 + n2 - r)
-    return (Fraction(n1 * (n1 - n2 - 2) * (n1 + n2 - r - i), den)
-            * two_row_weight(n1 - 1, n2, r, i)
-            + Fraction((n1 - n2) * (n2 + 1) * (n1 + n2 - r - i), den)
-            * two_row_weight(n1, n2 - 1, r, i))
+    heights = [0] * (n1 + n2)
+    for a in range(min(r - 1, n1) + 1):
+        low = n1 + n2 - r - a
+        heights[low] = ((binomial(r - 1 + a, a) - binomial(r - 1 + a, a - 1))
+                        * (binomial(low, n1 - a) - binomial(low, n1 - r - 1)))
+    return heights
 
 
 class TwoRowDecomposition(NamedTuple):
@@ -231,9 +221,17 @@ class TwoRowDecomposition(NamedTuple):
 
 
 def two_row_decomposition(n1: int, n2: int, r: int) -> TwoRowDecomposition:
-    weights = tuple(two_row_weight(n1, n2, r, i)
-                    for i in range(min(n1, r - 1) + 1))
-    return TwoRowDecomposition(n1, n2, r, weights)
+    """f_i = (-1)^i c_i / sigma, where T(-X) = sum_i c_i X^i d^i L_m(X) for
+    the two-row companion T, m = n1 + n2 - r and sigma = T(0); c_i vanishes
+    past min(n1, r-1)."""
+    poly = two_row_companion(n1, n2, r)
+    raw = laguerre_basis_decompose(poly.compose_neg(), n1 + n2 - r)
+    top = min(n1, r - 1) + 1
+    if any(raw[top:]):
+        raise AssertionError(f"two-row weight past index {top - 1}")
+    sigma = poly(0)
+    return TwoRowDecomposition(n1, n2, r, tuple(
+        (-1) ** i * c / sigma for i, c in enumerate(raw[:top])))
 
 
 def two_row_companion(n1: int, n2: int, r: int) -> Polynomial:
@@ -241,18 +239,9 @@ def two_row_companion(n1: int, n2: int, r: int) -> Polynomial:
 
     sigma * sum_i f(n1,n2,r,i) X^i (d^i L_{n1+n2-r})(-X).
     """
-    if not (0 <= n1 <= n2 and 1 <= r <= n2):
-        raise ValueError(f"bad two-row parameters ({n1},{n2},{r})")
-    m = n1 + n2 - r
-    sigma = two_row_counter(n1, n2)
-    deriv = laguerre(m)
-    total = Polynomial()
-    for i in range(min(n1, r - 1) + 1):
-        f = two_row_weight(n1, n2, r, i)
-        if f:
-            total = total + f * (monomial(i) * deriv.compose_neg())
-        deriv = deriv.derivative()
-    return sigma * total
+    heights = _two_row_heights(n1, n2, r)
+    return _over_factorials([_taylor_numerator(heights, i)
+                             for i in range(n1 + n2)])
 
 
 def catalan_polynomial(n: int) -> Polynomial:
@@ -272,7 +261,7 @@ def catalan_polynomial_r3(n: int) -> Polynomial:
     return two_row_companion(n, n, 3)
 
 
-# closed forms used as validators (the recurrence above is the primary path)
+# closed forms used as validators (the height row above is the primary path)
 
 def two_row_companion_closed(n1: int, n2: int, r: int) -> Polynomial:
     """Printed closed forms for r in {2, 3}, small cases included."""

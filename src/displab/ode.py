@@ -286,10 +286,12 @@ def two_row_ode(n1: int, n2: int, r: int) -> Ode2:
     r in {2, 3}."""
     if not (0 <= n1 <= n2):
         raise ValueError("need 0 <= n1 <= n2")
+    if r not in (2, 3):
+        raise ValueError("closed-form equations exist for r in {2, 3} only")
+    if n2 < r:
+        raise ValueError(f"r = {r} needs n2 >= {r}")
+    s = n1 + n2
     if r == 2:
-        if n2 < 2:
-            raise ValueError("r = 2 needs n2 >= 2")
-        s = n1 + n2
         alpha = pochhammer(s - 2, 3) * pochhammer(s - 1, 2)
         beta = n1 * (n2 + 1) * (n1**2 + n2**2 + n1 * n2 - 2 * n1 - n2)
         gamma = pochhammer(s - 2, 3) * (
@@ -298,11 +300,7 @@ def two_row_ode(n1: int, n2: int, r: int) -> Ode2:
         u = Polynomial((0, alpha, beta))
         v = Polynomial((alpha, alpha, beta))
         w = -Polynomial((gamma, (s - 2) * beta))
-        return Ode2(u, v, w)
-    if r == 3:
-        if n2 < 3:
-            raise ValueError("r = 3 needs n2 >= 3")
-        s = n1 + n2
+    else:
         alpha = pochhammer(s - 4, 5) * pochhammer(s - 3, 4)
         beta = 2 * n1 * (n2 + 1) * (
             n1**6 + 7 * n1**5 * (n2 - 2)
@@ -343,8 +341,10 @@ def two_row_ode(n1: int, n2: int, r: int) -> Ode2:
         u = Polynomial((0, alpha, beta, gamma))
         v = Polynomial((alpha, alpha, delta, gamma))
         w = -Polynomial((epsilon, zeta, (s - 3) * gamma))
-        return Ode2(u, v, w)
-    raise ValueError("closed-form equations exist for r in {2, 3} only")
+    if u.is_zero() and v.is_zero() and w.is_zero():
+        raise ValueError(f"the closed-form two-row equation vanishes "
+                         f"identically at n1={n1}, n2={n2}, r={r}")
+    return Ode2(u, v, w)
 
 
 def catalan_ode(n: int, r: int = 2) -> Ode2:

@@ -208,6 +208,16 @@ def test_ode_bad_parameters_exit_two(capsys):
         assert code == 2 and err, argv
 
 
+@pytest.mark.parametrize("n1, n2, r", [(0, 2, 2), (0, 3, 3), (0, 4, 3),
+                                       (1, 3, 3)])
+def test_ode_tworow_degenerate_equation_is_named(capsys, n1, n2, r):
+    code, out, err = run(capsys, "ode", "--tworow", f"{n1},{n2}",
+                         "--r", str(r))
+    assert code == 2 and out == ""
+    assert err == (f"error: the closed-form two-row equation vanishes "
+                   f"identically at n1={n1}, n2={n2}, r={r}\n")
+
+
 def test_ode_staircase_above_vertex_cap_exits_one(capsys):
     code, out, err = run(capsys, "ode", "--staircase", "151")
     assert code == 1 and out == "" and err.startswith("error:")

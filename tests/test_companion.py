@@ -13,7 +13,7 @@ from displab.algebra import (Polynomial, TruncatedSeries, binomial,
 from displab import counting
 from displab.cli import main
 from displab.companion import (CompanionResult, _HeightTable,
-                               companion_by_recurrence,
+                               _two_row_heights, companion_by_recurrence,
                                companion_dual, companion_from_counters,
                                counter_minus_one, counters_along_path,
                                height_counts,
@@ -22,7 +22,7 @@ from displab.companion import (CompanionResult, _HeightTable,
                                staircase_data, staircase_path_counter,
                                staircase_path_counter_closed,
                                two_row_companion, two_row_companion_closed,
-                               two_row_weight)
+                               two_row_decomposition)
 from displab.counting import count, count_bruteforce, enumerate_dispositions
 from displab.errors import SizeLimitError
 from displab.families import (build_family, make_empty, make_path,
@@ -361,20 +361,73 @@ def test_companion_result_json():
 
 # -- two-row weights and polynomials -----------------------------------------
 
+def _weight(n1, n2, r, i):
+    """f(n1, n2, r, i), zero past the weight row."""
+    weights = two_row_decomposition(n1, n2, r).weights
+    return weights[i] if i < len(weights) else 0
+
+
 def test_two_row_weight_normalization():
-    from displab.companion import two_row_decomposition
     for n1 in range(5):
         for n2 in range(max(n1, 1), 6):
             for r in range(1, n2 + 1):
-                assert two_row_weight(n1, n2, r, 0) == 1
                 decomp = two_row_decomposition(n1, n2, r)
                 assert decomp.weights[0] == 1
                 assert len(decomp.weights) == min(n1, r - 1) + 1
 
 
-def test_two_row_weight_vanishes_high():
-    assert two_row_weight(2, 3, 2, 2) == 0
-    assert two_row_weight(0, 4, 3, 1) == 0
+def test_two_row_weight_vanishes_high(monkeypatch):
+    assert len(two_row_decomposition(2, 3, 2).weights) == 2
+    assert len(two_row_decomposition(0, 4, 3).weights) == 1
+    # a companion with weight on X^2 d^2 L_3 breaks the row of (2, 3, 2)
+    monkeypatch.setattr("displab.companion.two_row_companion",
+                        lambda n1, n2, r: Polynomial((0, 0, 1)))
+    with pytest.raises(AssertionError):
+        two_row_decomposition(2, 3, 2)
+
+
+def test_two_row_heights_match_the_subset_kernel():
+    for n1 in range(10):
+        for n2 in range(max(n1, 1), 10):
+            d = make_two_row(n1, n2)
+            for r in range(1, n2 + 1):
+                assert tuple(_two_row_heights(n1, n2, r)) == height_counts(
+                    d, n1 + r - 1), (n1, n2, r)
+
+
+def test_two_row_weights_satisfy_the_five_case_recurrence():
+    """The paper's recurrence for f(n1, n2, r, i), keyed on where (n1, n2)
+    sits relative to the diagonal and to n2 = r, on the derived weights."""
+    rows = {(n1, n2, r): two_row_decomposition(n1, n2, r).weights
+            for n2 in range(1, 11) for n1 in range(n2 + 1)
+            for r in range(1, n2 + 1)}
+
+    def weight(n1, n2, r, i):
+        row = rows[n1, n2, r]
+        return row[i] if i < len(row) else 0
+
+    for n1, n2, r in rows:
+        for i, f in enumerate(rows[n1, n2, r]):
+            if n1 == 0:
+                expected = 1
+            elif n2 == r:
+                den = r * r + r + n1 * (1 - n1)
+                expected = (
+                    Fraction((i - n1) * (n1 - r - 2), den)
+                    * weight(n1 - 1, r, r, i)
+                    + Fraction(r * r + (1 - n1) * r - n1,
+                               math.factorial(i) * den))
+            elif n1 == n2:
+                expected = (Fraction(2 * n1 - r - i, 2 * n1 - r)
+                            * weight(n1 - 1, n1, r, i))
+            else:
+                den = (n1 - n2 - 1) * (n1 + n2) * (n1 + n2 - r)
+                expected = (
+                    Fraction(n1 * (n1 - n2 - 2) * (n1 + n2 - r - i), den)
+                    * weight(n1 - 1, n2, r, i)
+                    + Fraction((n1 - n2) * (n2 + 1) * (n1 + n2 - r - i), den)
+                    * weight(n1, n2 - 1, r, i))
+            assert f == expected, (n1, n2, r, i)
 
 
 def test_two_row_companion_examples():
@@ -392,7 +445,7 @@ def test_two_row_companion_r3_small_cases():
 
 
 def test_two_row_companion_matches_definitional_route():
-    """The weight recurrence against the sink-deletion recurrence."""
+    """The ballot height row against the subset kernel's."""
     for n1 in range(5):
         for n2 in range(max(n1, 1), 5):
             d = make_two_row(n1, n2)
@@ -409,15 +462,15 @@ def test_two_row_weight_level_closed_forms():
             s = n1 + n2
             if n2 >= 2 and s >= 3:
                 expected = Fraction(n1 * n2 + n1, s * (s - 1) * (s - 2))
-                assert two_row_weight(n1, n2, 2, 1) == expected, (n1, n2)
+                assert _weight(n1, n2, 2, 1) == expected, (n1, n2)
             if n2 >= 3 and s >= 5:
                 f1 = Fraction(2 * n1 * (n2 + 1) * (
                     n1**2 + 3 * n1 * n2 + n2**2 - 5 * n1 - 6 * n2 + 6)) / (
                         pochhammer(s - 3, 4) * (s - 3))
-                assert two_row_weight(n1, n2, 3, 1) == f1, (n1, n2)
+                assert _weight(n1, n2, 3, 1) == f1, (n1, n2)
                 f2 = (2 * pochhammer(n1 - 1, 2) * pochhammer(n2, 2)
                       / (pochhammer(s - 4, 5) * (s - 3)))
-                assert two_row_weight(n1, n2, 3, 2) == f2, (n1, n2)
+                assert _weight(n1, n2, 3, 2) == f2, (n1, n2)
 
 
 def test_two_row_closed_forms_match_recurrence():
