@@ -181,37 +181,19 @@ class SimpleDigraph:
         return _weak_components(nbr, full_mask(self.n))
 
     def is_acyclic(self) -> bool:
-        indeg = [0] * self.n
-        out = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            indeg[v] += 1
-            out[u].append(v)
-        queue = [v for v in range(self.n) if indeg[v] == 0]
-        removed = 0
-        while queue:
-            v = queue.pop()
-            removed += 1
-            for w in out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return removed == self.n
+        """Every strong component is a single vertex."""
+        return len(set(_strong_components(self))) == self.n
 
     def condense(self) -> "SimpleDigraph":
         """Strong-component quotient: always acyclic, loops and duplicate
         arcs created by the quotient removed.  Components are numbered by
         their least original vertex so the result is deterministic.
         """
-        comp = _strong_components(self)
-        comps = sorted(set(comp.values()), key=lambda c: min(
-            v for v, cid in comp.items() if cid == c))
-        renum = {cid: i for i, cid in enumerate(comps)}
-        arcs = set()
-        for u, v in self.arcs:
-            cu, cv = renum[comp[u]], renum[comp[v]]
-            if cu != cv:
-                arcs.add((cu, cv))
-        return SimpleDigraph(len(comps), arcs)
+        renum: dict[int, int] = {}
+        comp = [renum.setdefault(c, len(renum))
+                for c in _strong_components(self)]
+        arcs = {(comp[u], comp[v]) for u, v in self.arcs if comp[u] != comp[v]}
+        return SimpleDigraph(len(renum), arcs)
 
     def attach_path(self, v: int, length: int,
                     reverse: bool = False) -> "SimpleDigraph":
@@ -260,54 +242,46 @@ def _weak_components(nbr: list[int], mask: int) -> list[int]:
     return comps
 
 
-def _strong_components(d: SimpleDigraph) -> dict[int, int]:
-    """Iterative Tarjan; returns vertex -> component id (ids arbitrary)."""
-    out = [[] for _ in range(d.n)]
-    for u, v in sorted(d.arcs):
+def _strong_components(d: SimpleDigraph) -> list[int]:
+    """Strong component of each vertex, named by one of its vertices, by
+    Kosaraju-Sharir (Sharir, 1981).
+
+    A depth-first walk of d lists the vertices by finishing time.  Walking
+    the reversal from each unnamed vertex, latest finisher first, then
+    names exactly one strong component.  Both walks keep explicit stacks,
+    so a long path costs no recursion.
+    """
+    out: list[list[int]] = [[] for _ in range(d.n)]
+    inc: list[list[int]] = [[] for _ in range(d.n)]
+    for u, v in d.arcs:
         out[u].append(v)
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack: list[int] = []
-    comp: dict[int, int] = {}
-    counter = 0
-    next_comp = 0
-    for root in range(d.n):
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            while pi < len(out[v]):
-                w = out[v][pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = next_comp
-                    if w == v:
-                        break
-                next_comp += 1
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+        inc[v].append(u)
+    seen = [False] * d.n
+    finished = []
+    # a virtual root -1, with an arc to every vertex, starts the walk and
+    # finishes last
+    walk = [(-1, iter(range(d.n)))]
+    while walk:
+        v, succ = walk[-1]
+        for w in succ:
+            if not seen[w]:
+                seen[w] = True
+                walk.append((w, iter(out[w])))
+                break
+        else:
+            walk.pop()
+            finished.append(v)
+    finished.pop()  # the virtual root
+    comp = [-1] * d.n
+    for root in reversed(finished):
+        if comp[root] < 0:
+            comp[root] = root
+            todo = [root]
+            while todo:
+                for u in inc[todo.pop()]:
+                    if comp[u] < 0:
+                        comp[u] = root
+                        todo.append(u)
     return comp
 
 
@@ -359,7 +333,11 @@ def parse_digraph_text(text: str) -> Multidigraph:
 
 
 def parse_digraph_json(data) -> Multidigraph:
-    """JSON format: {"n": int, "arcs": [[u, v], ...]}."""
+    """JSON format: {"n": int, "arcs": [[u, v], ...]}, with "arcs" optional.
+
+    "n" and every endpoint must be JSON integers (not booleans), and every
+    arc a two-element array.
+    """
     if isinstance(data, (str, bytes)):
         import json
 
@@ -369,12 +347,17 @@ def parse_digraph_json(data) -> Multidigraph:
             raise ParseError(f"bad digraph JSON: {exc}") from exc
     if not isinstance(data, dict) or "n" not in data:
         raise ParseError('digraph JSON must be an object with an "n" key')
-    try:
-        n = int(data["n"])
-        arcs = [(int(u), int(v)) for u, v in data.get("arcs", [])]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad digraph JSON: {exc}") from exc
-    for u, v in arcs:
+    n, arcs = data["n"], data.get("arcs", [])
+    if type(n) is not int:
+        raise ParseError(f'bad digraph JSON: "n" must be an integer, got {n!r}')
+    if not isinstance(arcs, list):
+        raise ParseError(f'bad digraph JSON: "arcs" must be a list, got {arcs!r}')
+    for arc in arcs:
+        if not (isinstance(arc, list) and len(arc) == 2
+                and all(type(x) is int for x in arc)):
+            raise ParseError(
+                f"bad digraph JSON: arc {arc!r} is not a pair of integers")
+        u, v = arc
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"arc ({u},{v}) out of range for n={n}")
     return Multidigraph(n, arcs)

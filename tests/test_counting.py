@@ -16,6 +16,7 @@ from displab.errors import CapExceededError, SizeLimitError
 from displab.families import (make_empty, make_path, make_staircase, make_star,
                               make_two_row, staircase_counter)
 from displab.graph import SimpleDigraph, full_mask, iter_mask, mask_size, normalize, Multidigraph
+from displab.nonstrict import NonStrictCounter
 from helpers import (all_digraphs, random_acyclic_digraph,
                      random_simple_digraph)
 
@@ -281,6 +282,16 @@ def test_leaf_peels_keep_the_memo_states():
     for d, states in ((make_two_row(28, 30), 747), (make_star(17), 70),
                       (make_staircase(22), 140)):
         assert len(peeled_table(d).memo) == states
+
+
+def test_nonstrict_peels_keep_the_memo_states():
+    for d, states in ((make_staircase(20), 129),
+                      (make_staircase(20).reverse(), 129),
+                      (make_star(20), 69), (make_star(20, center_out=False), 21),
+                      (make_two_row(5, 6), 27)):
+        table = NonStrictCounter(d)
+        table._count(full_mask(d.n))
+        assert len(table.memo) == states
 
 
 def test_state_cap_refuses(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from displab.cli import main
 from displab.errors import ParseError
 from displab.families import make_empty, make_path, make_staircase
 from displab.graph import (Multidigraph, SimpleDigraph, full_mask, iter_mask,
@@ -102,6 +103,37 @@ def test_condense_path_with_cycle_gives_path():
     assert d.condense() == make_path(3)
 
 
+def test_condense_numbers_by_least_vertex():
+    # three 2-cycles {0,3} <- {1,4} <- {2,5}: the walk finishes {0,3}
+    # first, so the reversal's walk meets it last, yet it is still 0
+    d = SimpleDigraph(6, [(0, 3), (3, 0), (1, 4), (4, 1), (2, 5), (5, 2),
+                          (4, 3), (5, 4)])
+    assert d.condense() == SimpleDigraph(3, [(1, 0), (2, 1)])
+    assert not d.is_acyclic()
+
+
+def test_condense_matches_mutual_reachability():
+    rng = random.Random(19)
+    for _ in range(200):
+        d = random_simple_digraph(rng, rng.randint(0, 9))
+        reach = [1 << v for v in range(d.n)]
+        for _ in range(d.n):
+            for u, v in d.arcs:
+                reach[u] |= reach[v]
+        # u and v share a component when each reaches the other
+        comps = []
+        for v in range(d.n):
+            comp = mask_from(u for u in range(d.n)
+                             if reach[u] >> v & 1 and reach[v] >> u & 1)
+            if comp not in comps:
+                comps.append(comp)
+        index = {v: i for i, c in enumerate(comps) for v in iter_mask(c)}
+        arcs = {(index[u], index[v]) for u, v in d.arcs
+                if index[u] != index[v]}
+        assert d.condense() == SimpleDigraph(len(comps), arcs), d
+        assert d.is_acyclic() == (len(comps) == d.n), d
+
+
 def test_components_empty_and_path():
     assert make_empty(3).underlying_components() == [1, 2, 4]
     assert make_path(4).underlying_components() == [full_mask(4)]
@@ -177,6 +209,41 @@ def test_parse_json():
         parse_digraph_json('{"n": 1, "arcs": [[0, 3]]}')
     with pytest.raises(ParseError):
         parse_digraph_json("[1, 2]")
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2.5, "arcs": []}',
+    '{"n": 3.0}',
+    '{"n": "3"}',
+    '{"n": true}',
+    '{"n": null}',
+    '{"n": 3, "arcs": [[0, 1.9]]}',
+    '{"n": 3, "arcs": [[0, true]]}',
+    '{"n": 3, "arcs": ["12"]}',
+    '{"n": 3, "arcs": [[0, 1, 2]]}',
+    '{"n": 3, "arcs": [[0]]}',
+    '{"n": 3, "arcs": [{"0": 1}]}',
+    '{"n": 3, "arcs": null}',
+    '{"n": 3, "arcs": "01"}',
+])
+def test_json_file_takes_only_integers_and_pairs(tmp_path, capsys, text):
+    path = tmp_path / "digraph.json"
+    path.write_text(text)
+    assert main(["count", "--file", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad digraph JSON: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 3, "arcs": [[0, 5]]}', "arc (0,5) out of range for n=3"),
+    ('{"n": -1}', "vertex count must be nonnegative"),
+    ('{"arcs": []}', 'digraph JSON must be an object with an "n" key'),
+])
+def test_json_file_keeps_its_range_messages(tmp_path, capsys, text, message):
+    path = tmp_path / "digraph.json"
+    path.write_text(text)
+    assert main(["count", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_structural_properties_random_corpus():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -17,7 +18,7 @@ from displab.families import (build_family, make_empty, make_path, make_star,
                               make_two_row)
 from displab.graph import SimpleDigraph, full_mask
 from displab.nonstrict import (NonStrictCounter, nonstrict_bruteforce, nonstrict_count,
-                               nonstrict_empty, nonstrict_path,
+                               nonstrict_counts, nonstrict_empty, nonstrict_path,
                                nonstrict_path_series,
                                nonstrict_path_series_fixed_size,
                                nonstrict_two_row, order_polynomial)
@@ -134,6 +135,14 @@ def test_loops_do_not_zero_nonstrict():
 def test_condensed_size_cap():
     with pytest.raises(SizeLimitError):
         nonstrict_count(make_path(21), 2)
+
+
+def test_long_path_refuses_in_linear_time():
+    # a quadratic numbering of the components took 13-16 s at this order
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="condensed order 20000"):
+        nonstrict_counts(make_path(20000), [1])
+    assert time.perf_counter() - start < 5
 
 
 def test_order_polynomial_of_stars():
