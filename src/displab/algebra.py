@@ -9,7 +9,6 @@ nothing).
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -60,8 +59,11 @@ def parse_rational(text: str) -> Fraction:
 # off from about 10 terms with coefficients of up to 128 bits and from
 # about 20 with 300 bits or more (CPython 3.11)
 _SCHOOLBOOK_LENGTH = 16
-# the prime of the coprimality test in Polynomial.gcd, 2^61 - 1
-_PRIME = (1 << 61) - 1
+# the primes of the coprimality test in Polynomial.gcd.  A Mersenne prime
+# 2^q - 1 divides 2^(2n) - 1, a factor of the tangent numbers, whenever q
+# divides 2n, so 2^61 - 1 fails on the zigzag data at n = 121..123;
+# 2^62 - 57 divides no 2^k - 1 for k < 400
+_PRIMES = ((1 << 61) - 1, (1 << 62) - 57)
 
 
 class Polynomial:
@@ -221,7 +223,7 @@ class Polynomial:
         """Monic-free gcd: returns the primitive, positive-leading gcd.
 
         The common power of X comes out first.  When the rest is coprime
-        modulo a large prime it is coprime; otherwise a primitive
+        modulo one of two large primes it is coprime; otherwise a primitive
         pseudo-remainder sequence on the integer numerators finds it.
         """
         a, b = _primitive(self.num), _primitive(other.num)
@@ -229,7 +231,7 @@ class Polynomial:
             low_a = next(i for i, c in enumerate(a) if c)
             low_b = next(i for i, c in enumerate(b) if c)
             a, b = a[low_a:], b[low_b:]
-            if _coprime_modulo(a, b, _PRIME):
+            if any(_coprime_modulo(a, b, p) for p in _PRIMES):
                 a, b = [1], []
             elif len(a) < len(b):
                 a, b = b, a
@@ -681,38 +683,22 @@ def series_from_counters(values: Sequence) -> TruncatedSeries:
 # Laguerre polynomials
 # ---------------------------------------------------------------------------
 
-_laguerre_lock = threading.Lock()
-_laguerre_cache: list[Polynomial] = [ONE]
-
-
 def laguerre(n: int) -> Polynomial:
-    """Laguerre polynomial L_n = sum_k (-1)^k C(n, k) X^k / k!.
-
-    Built from the closed form over the denominator n!, where the X^k
-    numerator is (-1)^k C(n, k) n!/k!.
-    """
-    if n < 0:
-        raise ValueError("Laguerre index must be nonnegative")
-    with _laguerre_lock:
-        while len(_laguerre_cache) <= n:
-            j = len(_laguerre_cache)
-            _laguerre_cache.append(Polynomial.from_numerators(
-                [(-1) ** k * math.comb(j, k) * math.perm(j, j - k)
-                 for k in range(j + 1)], math.factorial(j)))
-        return _laguerre_cache[n]
+    """Laguerre polynomial L_n = L_n^(0)."""
+    return generalized_laguerre(n, 0)
 
 
 def generalized_laguerre(n: int, alpha: int) -> Polynomial:
-    """Generalized Laguerre polynomial L_n^(alpha) by the three-term recurrence
+    """Generalized Laguerre polynomial, for an integer alpha, from the
+    closed form L_n^(alpha) = sum_k (-1)^k C(n+alpha, n-k) X^k / k!.
 
-    (n+1) L_{n+1} = (2n+1+alpha-X) L_n - (n+alpha) L_{n-1}.
+    Built over the denominator n!, where the X^k numerator is
+    (-1)^k C(n+alpha, n-k) n!/k!; ``binomial`` covers n + alpha < 0.
     """
     if n < 0:
         raise ValueError("Laguerre index must be nonnegative")
-    prev, cur = ONE, Polynomial((1 + alpha, -1))
-    if n == 0:
-        return prev
-    for j in range(1, n):
-        nxt = (Polynomial((2 * j + 1 + alpha, -1)) * cur - (j + alpha) * prev) / (j + 1)
-        prev, cur = cur, nxt
-    return cur
+    if type(alpha) is not int:
+        raise ValueError(f"Laguerre parameter must be an integer, got {alpha!r}")
+    return Polynomial.from_numerators(
+        [(-1) ** k * binomial(n + alpha, n - k) * math.perm(n, n - k)
+         for k in range(n + 1)], math.factorial(n))

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .algebra import Polynomial, _mul_vectors, laguerre, monomial, pochhammer
 from .combinatorics import binomial
 from .counting import CounterTable
-from .families import staircase_counter, two_row_counter
+from .families import (_seidel_entringer_row, staircase_counter,
+                       two_row_counter)
 from .graph import SimpleDigraph, full_mask, mask_size
 from .ode import laguerre_basis_decompose
 
@@ -306,23 +306,13 @@ def two_row_companion_closed(n1: int, n2: int, r: int) -> Polynomial:
 # zigzag (staircase) data
 # ---------------------------------------------------------------------------
 
-def _staircase_heights(n: int) -> list[int]:
-    """N of v1 in S_n: row n-1 of the Seidel-Entringer triangle (Entringer,
-    1966), each row the running sums of the one before, reversed; [1] for
-    n = 0 as for n = 1, so that f(0, i) = 1."""
-    row = [1]
-    for _ in range(n - 1):
-        row = list(accumulate(reversed(row), initial=0))
-    return row
-
-
 def staircase_path_counter(n: int, i: int) -> int:
     """f(n, i) = sigma(S_n with a length-i path attached at v1), from the
     height row of v1.  It satisfies the halving recurrence
     2 f(n,i) = f(n,i-1) + sum_j C(n+i-1, i+j) f(j,i) s_{n-1-j}."""
     if n < 0 or i < 0:
         raise ValueError("indices must be nonnegative")
-    return _attached_counter(_staircase_heights(n), i)
+    return _attached_counter(_seidel_entringer_row(n), i)
 
 
 def staircase_path_counter_closed(n: int, i: int) -> int:
@@ -351,7 +341,7 @@ def staircase_companion(n: int) -> Polynomial:
     """Companion polynomial of the zigzag digraph S_n at v1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    heights = _staircase_heights(n)
+    heights = _seidel_entringer_row(n)
     return _over_factorials([_taylor_numerator(heights, i) for i in range(n)])
 
 
@@ -363,7 +353,7 @@ def staircase_data(n: int, horizon: int | None = None) -> StaircaseData:
         horizon = max(2 * n - 1, 0)
     elif horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    heights = _staircase_heights(n)
+    heights = _seidel_entringer_row(n)
     f_row = tuple(_attached_counter(heights, i) for i in range(horizon + 1))
     s_gen = tuple(_taylor_numerator(heights, i) for i in range(horizon + 1))
     a = tuple(Fraction(s, math.factorial(i)) for i, s in enumerate(s_gen))
@@ -380,5 +370,5 @@ def generalized_zigzag(i: int, count_values: int) -> list[int]:
     """The order-i generalized zigzag numbers i! a(n, i) for n = 0..count-1."""
     if i < 0 or count_values < 0:
         raise ValueError("order and count must be nonnegative")
-    return [_taylor_numerator(_staircase_heights(n), i)
+    return [_taylor_numerator(_seidel_entringer_row(n), i)
             for n in range(count_values)]

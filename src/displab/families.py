@@ -7,7 +7,7 @@ arc sets literally.
 
 from __future__ import annotations
 
-import threading
+from itertools import accumulate
 from typing import NamedTuple
 
 from .combinatorics import binomial, multinomial
@@ -214,24 +214,23 @@ def make_qary_level(q: int, level: int) -> SimpleDigraph:
 # analytic counters
 # ---------------------------------------------------------------------------
 
-_zigzag_lock = threading.Lock()
-_zigzag: list[int] = [1, 1]
+def _seidel_entringer_row(n: int) -> list[int]:
+    """Row n-1 of the Seidel-Entringer triangle (Entringer, 1966), each row
+    the running sums of the one before, reversed; [1] for n = 0 as for
+    n = 1.  Entry k - 1 counts the dispositions of the zigzag digraph S_n
+    with f(v1) = k, so the row sums to the zigzag number s_n."""
+    row = [1]
+    for _ in range(n - 1):
+        row = list(accumulate(reversed(row), initial=0))
+    return row
 
 
 def staircase_counter(n: int) -> int:
-    """Euler zigzag number s_n = sigma(S_n), by the sink-peeling recurrence
-
-    s_n = sum over 1 <= i <= n//2 of C(n-1, 2i-1) s_{2i-1} s_{n-2i}.
-    """
+    """Euler zigzag number s_n = sigma(S_n), the sum of the Seidel-Entringer
+    row of v1."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    with _zigzag_lock:
-        while len(_zigzag) <= n:
-            m = len(_zigzag)
-            s = sum(binomial(m - 1, 2 * i - 1) * _zigzag[2 * i - 1] * _zigzag[m - 2 * i]
-                    for i in range(1, m // 2 + 1))
-            _zigzag.append(s)
-        return _zigzag[n]
+    return sum(_seidel_entringer_row(n))
 
 
 def staircase_counter_alt(n: int) -> int:
@@ -257,31 +256,26 @@ def tree_counter(parents: list[int]) -> int:
     for v, p in enumerate(parents):
         if p < 0:
             root = v
-        else:
+        elif p < n:
             children[p].append(v)
+        else:
+            raise ValueError(f"parent {p} out of range")
     if root < 0:
         raise ValueError("no root in parent array")
-
-    sizes = [0] * n
-
-    def size(v: int) -> int:
-        if sizes[v] == 0:
-            sizes[v] = 1 + sum(size(c) for c in children[v])
-        return sizes[v]
-
-    def sigma(v: int) -> int:
-        kids = children[v]
-        if not kids:
-            return 1
-        out = multinomial([size(c) for c in kids])
-        for c in kids:
-            out *= sigma(c)
-        return out
-
-    size(root)
-    if sizes[root] != n:
+    # breadth-first from the root, so every child comes after its parent
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    if len(order) != n:
         raise ValueError("parent array is not a single tree")
-    return sigma(root)
+    sizes, sigmas = [1] * n, [1] * n
+    for v in reversed(order):
+        kids = children[v]
+        sizes[v] += sum(sizes[c] for c in kids)
+        sigmas[v] = multinomial(sizes[c] for c in kids)
+        for c in kids:
+            sigmas[v] *= sigmas[c]
+    return sigmas[root]
 
 
 def qary_level_counter(q: int, level: int) -> int:

@@ -71,12 +71,10 @@ class Multidigraph:
     __slots__ = ("n", "arcs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        arcs = tuple((int(u), int(v)) for u, v in arcs)
+        _check_count(n)
+        arcs = tuple((u, v) for u, v in arcs)
         for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
+            _check_arc(u, v, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
 
@@ -85,6 +83,20 @@ class Multidigraph:
 
     def multiplicity(self, u: int, v: int) -> int:
         return sum(1 for a in self.arcs if a == (u, v))
+
+
+def _check_count(n) -> None:
+    if type(n) is not int:
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+
+
+def _check_arc(u, v, n: int) -> None:
+    if type(u) is not int or type(v) is not int:
+        raise ValueError(f"arc endpoints must be integers, got ({u!r}, {v!r})")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"arc ({u},{v}) out of range for n={n}")
 
 
 class SimpleDigraph:
@@ -99,12 +111,10 @@ class SimpleDigraph:
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = (),
                  had_loop: bool = False):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        arcset = frozenset((int(u), int(v)) for u, v in arcs)
+        _check_count(n)
+        arcset = frozenset((u, v) for u, v in arcs)
         for u, v in arcset:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
+            _check_arc(u, v, n)
             if u == v:
                 raise ValueError(f"loop ({u},{u}) not allowed in SimpleDigraph")
         object.__setattr__(self, "n", n)
@@ -314,7 +324,7 @@ def parse_digraph_text(text: str) -> Multidigraph:
     if len(head) != 2 or head[0] != "n":
         raise ParseError(f'first line must be "n <count>", got {lines[0]!r}')
     try:
-        n = int(head[1])
+        n = _decimal(head[1])
     except ValueError as exc:
         raise ParseError(f"bad vertex count {head[1]!r}") from exc
     arcs = []
@@ -323,13 +333,22 @@ def parse_digraph_text(text: str) -> Multidigraph:
         if len(parts) != 2:
             raise ParseError(f"bad arc line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError as exc:
             raise ParseError(f"bad arc line {ln!r}") from exc
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"arc ({u},{v}) out of range for n={n}")
         arcs.append((u, v))
     return Multidigraph(n, arcs)
+
+
+def _decimal(text: str) -> int:
+    """An ASCII decimal integer with an optional leading '-'; no '+', no
+    '_' separators, no other digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def parse_digraph_json(data) -> Multidigraph:

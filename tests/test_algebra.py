@@ -1,14 +1,10 @@
 """Exact arithmetic layer."""
 
 import random
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from displab import algebra
 from displab.algebra import (Polynomial, RationalFunction, TruncatedSeries,
                              bessel_i_series, binomial, exp_series, factorial,
                              format_rational, generalized_laguerre, laguerre,
@@ -191,24 +187,24 @@ def test_generalized_laguerre_alpha_zero():
         assert generalized_laguerre(n, 0) == laguerre(n)
 
 
-def test_laguerre_cache_fill_is_thread_safe(monkeypatch):
-    monkeypatch.setattr(algebra, "_laguerre_cache", [Polynomial((1,))])
-    start = threading.Barrier(4)
+def test_generalized_laguerre_three_term_recurrence():
+    # (n+1) L_{n+1} = (2n+1+alpha-X) L_n - (n+alpha) L_{n-1}, checked on
+    # the closed form
+    for alpha in range(-45, 12):
+        prev, cur = generalized_laguerre(0, alpha), generalized_laguerre(1, alpha)
+        assert prev == Polynomial((1,))
+        assert cur == Polynomial((1 + alpha, -1))
+        for n in range(1, 41):
+            nxt = generalized_laguerre(n + 1, alpha)
+            assert (n + 1) * nxt == (Polynomial((2 * n + 1 + alpha, -1)) * cur
+                                     - (n + alpha) * prev), (n, alpha)
+            prev, cur = cur, nxt
 
-    def worker(_):
-        start.wait()
-        return laguerre(40)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(4) as pool:
-            results = list(pool.map(worker, range(4)))
-    finally:
-        sys.setswitchinterval(interval)
-    cache = algebra._laguerre_cache
-    assert [p.degree for p in cache] == list(range(len(cache)))
-    assert results == [generalized_laguerre(40, 0)] * 4
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), 1.0, "1", True])
+def test_generalized_laguerre_refuses_a_non_integer_parameter(alpha):
+    with pytest.raises(ValueError, match="must be an integer"):
+        generalized_laguerre(2, alpha)
 
 
 def test_generalized_laguerre_alpha_one_values():
@@ -412,6 +408,12 @@ def test_gcd_agrees_with_fraction_euclid():
         assert list(got.num) == fraction_euclid_gcd(p.coeffs, q.coeffs), trial
         # the planted factor divides the result
         assert p.is_zero() and q.is_zero() or got.divmod(g)[1].is_zero()
+
+
+def test_gcd_of_polynomials_equal_modulo_the_first_prime():
+    # X + 1 and X + 2^61 agree modulo 2^61 - 1 but are coprime
+    assert Polynomial((1, 1)).gcd(Polynomial((1 << 61, 1))) == Polynomial((1,))
+    assert Polynomial((2, 1)).gcd(Polynomial((2, 1)) * (1 << 61)) == Polynomial((2, 1))
 
 
 def test_divmod_reconstructs_the_dividend():

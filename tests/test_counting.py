@@ -149,20 +149,25 @@ def test_oracle_on_family_instances():
 
 def test_thread_safety_of_counters():
     """Concurrent strict, height and non-strict counting on distinct
-    digraphs, and the shared zigzag memo."""
+    digraphs, beside zigzag numbers and Laguerre polynomials, all equal to
+    their serial values."""
     import sys
     import threading
+    from displab.algebra import generalized_laguerre, laguerre
     from displab.companion import height_counts
     from displab.nonstrict import order_polynomial
     orders = (10, 11, 12)
     serial = {n: (height_counts(make_staircase(n), 0),
                   order_polynomial(make_staircase(n))) for n in orders}
+    serial_laguerre = [generalized_laguerre(40, idx) for idx in range(8)]
+    serial_l60 = laguerre(60)
     results = {}
 
     def worker(idx):
         d = make_staircase(orders[idx % 3])
         results[idx] = (count(d), staircase_counter(40 + idx),
-                        height_counts(d, 0), order_polynomial(d))
+                        height_counts(d, 0), order_polynomial(d),
+                        generalized_laguerre(40, idx), laguerre(60))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
@@ -176,12 +181,14 @@ def test_thread_safety_of_counters():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert sorted(results) == list(range(8))
-    for idx, (c, s, heights, omega) in results.items():
+    for idx, (c, s, heights, omega, lag, l60) in results.items():
         n = orders[idx % 3]
         assert c == staircase_counter(n)
         assert s == staircase_counter(40 + idx)
         assert (heights, omega) == serial[n]
         assert sum(heights) == c
+        assert lag == serial_laguerre[idx]
+        assert l60 == serial_l60
 
 
 def test_reverse_invariance():

@@ -1,5 +1,6 @@
 """Digraph families: constructors versus their analytic counters."""
 
+import math
 import random
 
 import pytest
@@ -95,6 +96,15 @@ def test_both_zigzag_recurrences_agree():
         assert staircase_counter(n) == staircase_counter_alt(n)
 
 
+def test_zigzag_sink_peeling_recurrence():
+    # s_n = sum over 1 <= i <= n//2 of C(n-1, 2i-1) s_{2i-1} s_{n-2i},
+    # checked on the Seidel-Entringer row sums
+    s = [staircase_counter(n) for n in range(81)]
+    for n in range(2, 81):
+        assert s[n] == sum(binomial(n - 1, 2 * i - 1) * s[2 * i - 1] * s[n - 2 * i]
+                           for i in range(1, n // 2 + 1)), n
+
+
 def test_zigzag_doubling_identity():
     for n in range(1, 15):
         lhs = 2 * staircase_counter(n + 1)
@@ -131,6 +141,16 @@ def test_tree_counter_rejects_garbage():
         make_rooted_tree([0, 1])  # no root
     with pytest.raises(ValueError):
         tree_counter([-1, -1])
+    with pytest.raises(ValueError, match="not a single tree"):
+        tree_counter([-1, 2, 1])  # a cycle beside the root
+    with pytest.raises(ValueError, match="parent 5 out of range"):
+        tree_counter([-1, 5])
+
+
+def test_tree_counter_takes_deep_and_wide_trees():
+    # iterative, so a 2,000-deep path costs no recursion
+    assert tree_counter([-1] + list(range(1999))) == 1
+    assert tree_counter([-1] + [0] * 1999) == math.factorial(1999)
 
 
 def test_qary_counters():

@@ -202,6 +202,36 @@ def test_parse_text_rejects_out_of_range():
         parse_digraph_text("n 2\n0 5\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n 1_0\n", "bad vertex count '1_0'"),
+    ("n +3\n", "bad vertex count '+3'"),
+    ("n \uff14\n", "bad vertex count '\uff14'"),
+    ("n -\n", "bad vertex count '-'"),
+    ("n 3\n0 +1\n", "bad arc line '0 +1'"),
+    ("n 3\n0 1_0\n", "bad arc line '0 1_0'"),
+    ("n 3\n\u0660 1\n", "bad arc line '\u0660 1'"),
+    ("n -1\n", "vertex count must be nonnegative"),
+    ("n 2\n0 5\n", "arc (0,5) out of range for n=2"),
+    ("n 3\n-1 2\n", "arc (-1,2) out of range for n=3"),
+])
+def test_text_file_takes_only_ascii_decimals(tmp_path, capsys, text, message):
+    path = tmp_path / "digraph.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["count", "--file", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cls", [Multidigraph, SimpleDigraph])
+@pytest.mark.parametrize("n, arcs", [
+    (2.5, []), (3.0, []), ("3", []), (True, []),
+    (3, [(0, 1.9)]), (3, [(0.0, 1)]), (3, [(0, True)]), (3, [("0", 1)]),
+])
+def test_constructors_refuse_non_integers(cls, n, arcs):
+    with pytest.raises(ValueError, match="must be an integer|must be integers"):
+        cls(n, arcs)
+
+
 def test_parse_json():
     g = parse_digraph_json('{"n": 2, "arcs": [[0, 1]]}')
     assert normalize(g) == make_path(2)

@@ -1,6 +1,7 @@
 """Laguerre-pair decompositions and the equation constructions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,17 @@ def test_staircase_equations_printed():
         ode = laguerrean_reflected(staircase_companion(n))
         assert ode == golden_ode(triple), n
         assert verify_ode(ode, staircase_companion(n))
+
+
+def test_staircase_equations_near_order_122_finish():
+    # 2^61 - 1 divides the tangent numbers here, so the first coprimality
+    # prime of Polynomial.gcd fails; the pseudo-remainder sequence it fell
+    # back to had not finished after 7 CPU minutes
+    start = time.perf_counter()
+    for n in (121, 122, 123):
+        p = staircase_companion(n)
+        assert verify_ode(laguerrean_reflected(p), p), n
+    assert time.perf_counter() - start < 20
 
 
 def test_reflected_laguerrean_satisfied_random():
