@@ -14,8 +14,7 @@ _EXPORTS = {
     "combinatorics": ("binomial", "factorial", "multinomial"),
     "companion": ("CompanionResult", "StaircaseData", "TwoRowDecomposition",
                   "catalan_polynomial", "catalan_polynomial_r3",
-                  "companion_by_recurrence", "companion_dual",
-                  "companion_from_counters", "counters_along_path",
+                  "companion_by_recurrence", "companion_from_counters",
                   "generalized_zigzag", "staircase_companion",
                   "staircase_data", "two_row_companion",
                   "two_row_decomposition"),

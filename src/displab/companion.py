@@ -28,27 +28,6 @@ from .ode import laguerre_basis_decompose
 
 
 # ---------------------------------------------------------------------------
-# counters along an attached path
-# ---------------------------------------------------------------------------
-
-def counters_along_path(d: SimpleDigraph, v: int, horizon: int,
-                        reverse: bool = False) -> list[int]:
-    """[sigma(d with a length-i path attached at v) for i = 0..horizon]."""
-    if horizon < 0:
-        raise ValueError("path length must be nonnegative")
-    return list(_companion(d, v, reverse, horizon).counters)
-
-
-def counter_minus_one(d: SimpleDigraph, v: int) -> int:
-    """The index -1 convention of the counter recurrence:
-
-    sigma(G_{-1}) = sigma(G - v) when v is a sink, else 0; that is N_1,
-    the number of dispositions with f(v) = 1.
-    """
-    return height_counts(d, v)[0]
-
-
-# ---------------------------------------------------------------------------
 # the height distribution of v
 # ---------------------------------------------------------------------------
 
@@ -177,15 +156,6 @@ def _companion(d: SimpleDigraph, v: int, reverse: bool,
 def companion_by_recurrence(d: SimpleDigraph, v: int) -> Polynomial:
     """Companion polynomial from the height distribution of v."""
     return companion_by_heights(d, v).poly
-
-
-def companion_dual(d: SimpleDigraph, v: int) -> Polynomial:
-    """Companion polynomial along reversed attached paths.
-
-    Equals the plain companion of the reversed digraph at v, because
-    reversal swaps sinks and sources and keeps every counter.
-    """
-    return companion_by_heights(d, v, reverse=True).poly
 
 
 # ---------------------------------------------------------------------------

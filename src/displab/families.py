@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .combinatorics import binomial, multinomial
 from .errors import ParseError
-from .graph import SimpleDigraph, check_order
+from .graph import SimpleDigraph, _decimal, check_order
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,12 @@ class DispositionalSpec(_SpecFields):
     __slots__ = ()
 
     def __new__(cls, rows):
-        rows = tuple((int(a), int(b)) for a, b in rows)
+        rows = tuple((a, b) for a, b in rows)
+        # only ints, not bools or other numbers, as in the digraph classes
+        for a, b in rows:
+            if type(a) is not int or type(b) is not int:
+                raise ValueError("row lengths and shifts must be integers, "
+                                 f"got ({a!r}, {b!r})")
         if rows:
             if rows[0][1] != 0:
                 raise ValueError("first row shift must be 0")
@@ -53,10 +58,9 @@ class DispositionalSpec(_SpecFields):
     @classmethod
     def from_json(cls, data) -> "DispositionalSpec":
         try:
-            rows = tuple((int(r["len"]), int(r["shift"])) for r in data["rows"])
+            return cls((r["len"], r["shift"]) for r in data["rows"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad dispositional spec: {exc}") from exc
-        return cls(rows)
 
 
 def make_dispositional(spec: DispositionalSpec) -> SimpleDigraph:
@@ -233,20 +237,6 @@ def staircase_counter(n: int) -> int:
     return sum(_seidel_entringer_row(n))
 
 
-def staircase_counter_alt(n: int) -> int:
-    """Same number by the source-peeling recurrence (test cross-check):
-
-    s_n = sum over 0 <= i <= (n-1)//2 of C(n-1, 2i) s_{2i} s_{n-2i-1}.
-    """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if n <= 1:
-        return 1
-    return sum(binomial(n - 1, 2 * i) * staircase_counter_alt(2 * i)
-               * staircase_counter_alt(n - 2 * i - 1)
-               for i in range((n - 1) // 2 + 1))
-
-
 def tree_counter(parents: list[int]) -> int:
     """Counter of a rooted tree: multinomial of the descendant subtree
     orders times the product of their counters."""
@@ -323,16 +313,16 @@ def build_family(text: str, max_order: int | None = None
     name = name.strip().lower()
     try:
         if name in _BY_ORDER:
-            n = int(arg)
+            n = _decimal(arg)
             check_order(n, max_order)
             return _BY_ORDER[name](n), _index_labels(n)
         if name == "tworow":
-            n1, n2 = (int(x) for x in arg.split(","))
+            n1, n2 = (_decimal(x) for x in arg.split(","))
             if 0 <= n1 <= n2:  # make_two_row refuses the rest as malformed
                 check_order(n1 + n2, max_order)
             return make_two_row(n1, n2), two_row_labels(n1, n2)
         if name == "qary":
-            q, level = (int(x) for x in arg.split(","))
+            q, level = (_decimal(x) for x in arg.split(","))
             if q >= 2 and max_order is not None:
                 # sum the levels only until they pass the cap
                 order = 0
@@ -343,14 +333,14 @@ def build_family(text: str, max_order: int | None = None
             return d, _index_labels(d.n)
         if name == "tree":
             # the parent array is as long as the text, so build, then check
-            parents = [int(x) for x in arg.split(",")]
+            parents = [_decimal(x) for x in arg.split(",")]
             d = make_rooted_tree(parents)
             check_order(d.n, max_order)
             return d, _index_labels(d.n)
         if name == "dispositional":
             rows = []
             for part in arg.split(";"):
-                a, b = (int(x) for x in part.split(","))
+                a, b = (_decimal(x) for x in part.split(","))
                 rows.append((a, b))
             spec = DispositionalSpec(tuple(rows))
             check_order(spec.order, max_order)

@@ -344,11 +344,15 @@ def parse_digraph_text(text: str) -> Multidigraph:
 
 def _decimal(text: str) -> int:
     """An ASCII decimal integer with an optional leading '-'; no '+', no
-    '_' separators, no other digits."""
+    '_' separators, no spaces, no other digits.  A text that int() refuses
+    gets its error; the others int() takes are refused in its words, which
+    show at most 200 characters of the text's repr."""
+    value = int(text)
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
+        raise ValueError(
+            f"invalid literal for int() with base 10: {text!r:.200}")
+    return value
 
 
 def parse_digraph_json(data) -> Multidigraph:

@@ -5,10 +5,10 @@ counter factors through the strong-component quotient.  On the quotient
 P the counter is Stanley's order polynomial Omega(P, i), of degree |P| in
 the size i.  ``order_polynomial`` computes its values at 0..|P| by the
 subset recursion of the strict counter (weak components split at every
-state and joined by pointwise products, peel side chosen per call, the
-same state cap) with an inclusion-exclusion over peelable subsets in place
-of single peels; their forward differences are its coefficients in the
-binomial basis, and every size is a value of it.  Its top coefficient
+state and joined by pointwise products, peel side chosen per component,
+the same state cap) with an inclusion-exclusion over peelable subsets in
+place of single peels; their forward differences are its coefficients in
+the binomial basis, and every size is a value of it.  Its top coefficient
 times |P|! is the strict counter, and (-1)^|P| Omega(P, -i) counts the
 strictly decreasing maps into {1..i} (reciprocity).
 ``nonstrict_bruteforce`` is the oracle.
@@ -67,7 +67,8 @@ class NonStrictCounter(_PeelTable):
     so each state costs one signed sum of value tuples and one prefix sum.
     Omega_S is also the order polynomial of the reversal of S, so the same
     recurrence over sources gives the same values, and ``order_polynomial``
-    picks the side per call as ``count`` does, under the same state cap.
+    picks the side per component as ``count`` does, under the same state
+    cap.
     """
 
     def __init__(self, d: SimpleDigraph):

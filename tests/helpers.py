@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from math import comb
+
 from displab.graph import SimpleDigraph
 
 
@@ -44,3 +46,14 @@ def disjoint_union(*digraphs):
         arcs += [(u + n, v + n) for u, v in d.arcs]
         n += d.n
     return SimpleDigraph(n, arcs)
+
+
+def zigzag_by_source_peeling(count):
+    """Oracle: the zigzag numbers s_0, ..., s_{count-1} by the source-peeling
+    recurrence s_n = sum over 0 <= i <= (n-1)//2 of C(n-1, 2i) s_{2i}
+    s_{n-2i-1}, each read off the list of those before it."""
+    s = [1, 1][:count]
+    for n in range(2, count):
+        s.append(sum(comb(n - 1, 2 * i) * s[2 * i] * s[n - 2 * i - 1]
+                     for i in range((n - 1) // 2 + 1)))
+    return s

@@ -51,6 +51,39 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("family, reason", [
+    # spellings that int() takes and a family string does not
+    ("staircase:1_0", "invalid literal for int() with base 10: '1_0'"),
+    ("staircase:\u0667", "invalid literal for int() with base 10: '\u0667'"),
+    ("staircase:+7", "invalid literal for int() with base 10: '+7'"),
+    ("tworow: 3,4", "invalid literal for int() with base 10: ' 3'"),
+    ("qary:2,\uff13", "invalid literal for int() with base 10: '\uff13'"),
+    ("tree:-1,0,0 ", "invalid literal for int() with base 10: '0 '"),
+    ("dispositional:2,0;2,-1_0",
+     "invalid literal for int() with base 10: '-1_0'"),
+    # refusals that int() made, in its words
+    ("staircase:abc", "invalid literal for int() with base 10: 'abc'"),
+    ("tworow:a,b", "invalid literal for int() with base 10: 'a'"),
+    ("tree:", "invalid literal for int() with base 10: ''"),
+    ("tworow:2", "not enough values to unpack (expected 2, got 1)"),
+    ("tworow:1,2,3", "too many values to unpack (expected 2)"),
+    ("staircase:-3", "order must be nonnegative"),
+])
+def test_family_integers_are_ascii_decimals(capsys, family, reason):
+    code, out, err = run(capsys, "count", "--family", family)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad family string {family!r}: {reason}\n"
+
+
+def test_long_bad_family_integer_is_cut_as_int_cuts_it(capsys):
+    # int() shows at most 200 characters of the text's repr
+    family = "staircase:" + "x" * 300
+    code, out, err = run(capsys, "count", "--family", family)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad family string {family!r}: invalid literal "
+                   f"for int() with base 10: '{'x' * 199}\n")
+
+
 def test_size_cap_exit_code(capsys):
     code, _, err = run(capsys, "count", "--family", "empty:30")
     assert code == 1 and "max-order" in err

@@ -12,11 +12,10 @@ from displab.algebra import (Polynomial, TruncatedSeries, binomial,
                              series_from_counters)
 from displab import counting
 from displab.cli import main
-from displab.companion import (CompanionResult, _HeightTable,
-                               _two_row_heights, companion_by_recurrence,
-                               companion_dual, companion_from_counters,
-                               counter_minus_one, counters_along_path,
-                               height_counts,
+from displab.companion import (CompanionResult, _HeightTable, _companion,
+                               _two_row_heights, companion_by_heights,
+                               companion_by_recurrence,
+                               companion_from_counters, height_counts,
                                catalan_polynomial, catalan_polynomial_r3,
                                generalized_zigzag, staircase_companion,
                                staircase_data, staircase_path_counter,
@@ -41,22 +40,22 @@ from displab import golden
 def test_counters_along_path_on_paths():
     for j in range(5):
         d = make_path(j + 1)
-        counters = counters_along_path(d, 0, 6)
-        assert counters == [binomial(i + j, i) for i in range(7)]
+        counters = _companion(d, 0, False, 6).counters
+        assert counters == tuple(binomial(i + j, i) for i in range(7))
 
 
 def test_counters_along_path_on_empty():
     for j in range(4):
         d = make_empty(j + 1)
-        counters = counters_along_path(d, 0, 5)
-        expected = [math.factorial(i + j + 1) // math.factorial(i + 1)
-                    for i in range(6)]
+        counters = _companion(d, 0, False, 5).counters
+        expected = tuple(math.factorial(i + j + 1) // math.factorial(i + 1)
+                         for i in range(6))
         assert counters == expected
 
 
 def test_counters_along_path_staircase2():
     d = make_staircase(2)
-    assert counters_along_path(d, 0, 1)[1] == 2
+    assert _companion(d, 0, False, 1).counters[1] == 2
     assert count_bruteforce(d.attach_path(0, 1)) == 2
 
 
@@ -70,20 +69,22 @@ def test_counters_along_path_match_separate_counts():
             d = normalize(Multidigraph(n, sorted(d.arcs) + [(loop, loop)]))
         v = rng.randrange(n)
         reverse = k % 2 == 1
-        assert counters_along_path(d, v, 2 * n, reverse=reverse) == [
+        assert _companion(d, v, reverse, 2 * n).counters == tuple(
             count(d.attach_path(v, i, reverse=reverse))
-            for i in range(2 * n + 1)]
+            for i in range(2 * n + 1))
 
 
 def test_counter_minus_one_convention():
+    # sigma(G_{-1}) = sigma(G - v) when v is a sink, else 0: that is N_1,
+    # the number of dispositions with f(v) = 1
     d = make_staircase(3)
     # v1 (index 0) is a source, not a sink: the convention gives 0
-    assert counter_minus_one(d, 0) == 0
+    assert height_counts(d, 0)[0] == 0
     # index 1 is a sink: the convention gives the counter without it
-    assert counter_minus_one(d, 1) == count(d.induced_subgraph({0, 2}))
+    assert height_counts(d, 1)[0] == count(d.induced_subgraph({0, 2}))
     # a loop anywhere leaves no disposition, so no counter either
     looped = normalize(Multidigraph(3, [(0, 1), (2, 2)]))
-    assert counter_minus_one(looped, 1) == 0
+    assert height_counts(looped, 1)[0] == 0
 
 
 def test_counter_recurrence_identity_with_minus_one():
@@ -95,9 +96,9 @@ def test_counter_recurrence_identity_with_minus_one():
         v = rng.randrange(d.n)
         sinks, _ = d.sinks_and_sources()
         rest = (1 << d.n) - 1
-        counters = counters_along_path(d, v, 4)
+        counters = _companion(d, v, False, 4).counters
         for j in range(5):
-            prev = counters[j - 1] if j else counter_minus_one(d, v)
+            prev = counters[j - 1] if j else height_counts(d, v)[0]
             total = prev
             for w in range(d.n):
                 if w != v and sinks >> w & 1:
@@ -220,16 +221,18 @@ def test_tabloidal_characterizations_of_laguerre():
 
 
 def test_companion_dual():
+    # v1 is the maximum point of the path
     d = make_path(2)
-    assert companion_dual(d, 0) == Polynomial((1,))   # v1 is the maximum point
+    assert companion_by_heights(d, 0, reverse=True).poly == Polynomial((1,))
     for n in range(1, 5):
         e = make_empty(n)
-        assert companion_dual(e, 0) == companion_by_recurrence(e, 0)
+        assert (companion_by_heights(e, 0, reverse=True).poly
+                == companion_by_recurrence(e, 0))
     rng = random.Random(46)
     for _ in range(25):
         d = random_acyclic_digraph(rng, rng.randint(1, 6))
         v = rng.randrange(d.n)
-        dual = companion_dual(d, v)
+        dual = companion_by_heights(d, v, reverse=True).poly
         assert dual(0) == count(d)
         # reversed-path attachment is the same polynomial
         assert companion_from_counters(d, v, reverse=True).poly == dual
@@ -265,7 +268,8 @@ def test_companion_dual_by_direct_source_recurrence():
     for _ in range(25):
         d = random_acyclic_digraph(rng, rng.randint(1, 6))
         v = rng.randrange(d.n)
-        assert companion_dual(d, v) == dual_direct(d, v)
+        assert (companion_by_heights(d, v, reverse=True).poly
+                == dual_direct(d, v))
 
 
 # -- the height distribution of v ---------------------------------------------
@@ -306,8 +310,8 @@ def test_height_counts_of_disjoint_unions(specs):
 
 
 @pytest.mark.parametrize("spec, vertex, states", [
-    ("staircase:22", "v1", 140), ("tworow:20,22", "v2", 310),
-    ("tworow:28,30", "v30", 747), ("star:17", "v2", 70)])
+    ("staircase:22", "v1", 78), ("tworow:20,22", "v2", 233),
+    ("tworow:28,30", "v30", 437), ("star:17", "v2", 18)])
 def test_height_memo_states(spec, vertex, states):
     # one memo: counters of the masks without v, N of the masks with v
     d, labels = build_family(spec, 64)
@@ -326,8 +330,8 @@ def test_companion_closed_forms_on_stars_of_forty():
     assert companion_by_recurrence(out_star, 0) == at_center
     assert companion_by_recurrence(out_star, 1) == at_leaf
     in_star = make_star(40, center_out=False)
-    assert companion_dual(in_star, 0) == at_center
-    assert companion_dual(in_star, 1) == at_leaf
+    assert companion_by_heights(in_star, 0, reverse=True).poly == at_center
+    assert companion_by_heights(in_star, 1, reverse=True).poly == at_leaf
 
 
 def test_routes_agree_on_star_of_twenty_one():
@@ -336,7 +340,7 @@ def test_routes_agree_on_star_of_twenty_one():
         for v in (0, 1):
             assert (companion_by_recurrence(d, v)
                     == companion_from_counters(d, v).poly)
-            assert (companion_dual(d, v)
+            assert (companion_by_heights(d, v, reverse=True).poly
                     == companion_from_counters(d, v, reverse=True).poly)
 
 
@@ -548,8 +552,8 @@ def test_staircase_companion_matches_recurrence_route():
     for n in range(1, 41):
         d = make_staircase(n)
         assert staircase_companion(n) == companion_by_recurrence(d, 0), n
-        assert (list(staircase_data(n).f_row)
-                == counters_along_path(d, 0, 2 * n - 1)), n
+        assert (staircase_data(n).f_row
+                == _companion(d, 0, False, 2 * n - 1).counters), n
 
 
 def test_staircase_path_counter_halving_identity():

@@ -14,9 +14,9 @@ from displab.families import (DispositionalSpec, build_family,
                               make_rooted_tree, make_staircase, make_star,
                               make_two_row, qary_level_counter,
                               qary_level_parents, staircase_counter,
-                              staircase_counter_alt, staircase_spec,
-                              tree_counter, two_row_counter, two_row_labels)
-from helpers import random_tree_parents
+                              staircase_spec, tree_counter, two_row_counter,
+                              two_row_labels)
+from helpers import random_tree_parents, zigzag_by_source_peeling
 
 
 def test_staircase5_arcs():
@@ -92,8 +92,8 @@ def test_two_row_min_points():
 
 
 def test_both_zigzag_recurrences_agree():
-    for n in range(15):
-        assert staircase_counter(n) == staircase_counter_alt(n)
+    assert ([staircase_counter(n) for n in range(60)]
+            == zigzag_by_source_peeling(60))
 
 
 def test_zigzag_sink_peeling_recurrence():
@@ -210,6 +210,21 @@ def test_dispositional_spec_validation():
 def test_spec_json_roundtrip():
     spec = staircase_spec(6)
     assert DispositionalSpec.from_json(spec.to_json()) == spec
+
+
+@pytest.mark.parametrize("rows", [
+    ((2.9, 0),), ((2, 0), (True, -1)), ((2, 0.0),), (("3", 0),),
+    ((2, 0), (2, False))])
+def test_dispositional_spec_takes_only_ints(rows):
+    with pytest.raises(ValueError, match="must be integers"):
+        DispositionalSpec(rows)
+
+
+@pytest.mark.parametrize("value", ["3", 2.9, 2.0, True, None])
+def test_spec_from_json_takes_only_json_integers(value):
+    for row in ({"len": value, "shift": 0}, {"len": 2, "shift": value}):
+        with pytest.raises(ParseError, match="must be integers"):
+            DispositionalSpec.from_json({"rows": [row]})
 
 
 def test_build_family_strings():
