@@ -30,7 +30,7 @@ _EXPORTS = {
     "graph": ("Multidigraph", "SimpleDigraph", "normalize"),
     "nonstrict": ("nonstrict_bruteforce", "nonstrict_count",
                   "order_polynomial"),
-    "ode": ("Ode2", "ab_reduction", "catalan_ode", "laguerre_basis_decompose",
+    "ode": ("Ode2", "catalan_ode", "laguerre_basis_decompose",
             "laguerre_equation", "laguerrean", "laguerrean_reflected",
             "reduce_to_QR", "two_row_ode", "verify_ode",
             "verify_ode_on_series"),

@@ -17,22 +17,32 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import DisplabError, ParseError, SizeLimitError
+from .errors import DisplabError, ParseError, SizeLimitError, _decimal
 
 DEFAULT_MAX_ORDER = 20
 # the largest accepted `gram --catalan/--laguerre N` (`gram --catalan 100`
-# takes about 0.7 s), `ode --staircase N` (150 takes about 1.1 s and 19 MB,
-# nearly all in `laguerrean`), `nonstrict --max-size N`, `families --spec`
-# order (`path:100000` takes about 1 s and 64 MB), `series --order` (past it
-# every kind but exp:0 has a coefficient too long to print) and
-# `dispositions --cap` (499,488 dispositions of 12 vertices take about 6 s
-# and 200 MB)
+# takes about 0.7 s), `ode --staircase N` (150 takes about 0.5-0.7 s and
+# 17 MB, nearly all in `laguerrean`), `nonstrict --max-size N`,
+# `families --spec` order (`path:100000` takes about 1 s and 64 MB),
+# `series --order` (past it every kind but exp:0 has a coefficient too long
+# to print) and `dispositions --cap` (499,488 dispositions of 12 vertices
+# take about 6 s and 200 MB)
 GRAM_SIZE_LIMIT = 100
 STAIRCASE_ORDER_LIMIT = 150
 MAX_SIZE_LIMIT = 10_000
 SPEC_ORDER_LIMIT = 100_000
 SERIES_ORDER_LIMIT = 2_000
 DISPOSITIONS_CAP_LIMIT = 500_000
+
+
+def _int(text: str) -> int:
+    """An integer of CLI text, read as family strings and digraph files
+    read theirs: ASCII decimal digits with an optional leading '-'."""
+    return _decimal(text)
+
+
+# argparse names the type in its refusal: "invalid int value: 'x'"
+_int.__name__ = "int"
 
 
 def _at_least(value: int, least: int, option: str) -> None:
@@ -53,7 +63,7 @@ def _max_order(args) -> int:
         if not env:
             return DEFAULT_MAX_ORDER
         try:
-            cap = int(env)
+            cap = _int(env)
         except ValueError as exc:
             raise ParseError(f"bad DISPLAB_MAX_ORDER value {env!r}") from exc
         source = "DISPLAB_MAX_ORDER"
@@ -107,7 +117,7 @@ def _resolve_vertex(spec: str, labels: dict[str, int], n: int) -> int:
     if spec in labels:
         return labels[spec]
     try:
-        v = int(spec)
+        v = _int(spec)
     except ValueError as exc:
         raise ParseError(f"unknown vertex {spec!r}") from exc
     if not (0 <= v < n):
@@ -186,7 +196,7 @@ def _cmd_ode(args) -> int:
         ode = catalan_ode(args.catalan, args.r)
     elif args.tworow is not None:
         try:
-            n1, n2 = (int(x) for x in args.tworow.split(","))
+            n1, n2 = (_int(x) for x in args.tworow.split(","))
         except ValueError as exc:
             raise ParseError(f"bad --tworow {args.tworow!r}") from exc
         ode = two_row_ode(n1, n2, args.r)
@@ -298,19 +308,19 @@ def _cmd_series(args) -> int:
             _refuse_too_long(math.comb(max(2 * order - 1, 0), order), fact)
             series = nonstrict_path_series(order)
         elif kind == "nspath-size":
-            j = int(rest)
+            j = _int(rest)
             if j >= 1:
                 # C(j+order-1, order) / order! = j(j+1)...(j+order-1) / order!^2
                 _refuse_power(j, order, fact * fact)
                 _refuse_too_long(math.perm(j + order - 1, order), fact * fact)
             series = nonstrict_path_series_fixed_size(j, order)
         elif kind == "exp":
-            c = int(rest or 1)
+            c = _int(rest) if rest else 1
             _refuse_power(c, order, fact)
             _refuse_too_long(c ** order, fact)
             series = exp_series(c, order)
         elif kind == "bessel":
-            m, k = (int(x) for x in rest.split(","))
+            m, k = (_int(x) for x in rest.split(","))
             if 0 <= m <= order:
                 # the X^e coefficient, e = m + 2s, is k^e / (2^e s! (m+s)!)
                 s = (order - m) // 2
@@ -432,7 +442,7 @@ def _cmd_paper_tables(args) -> int:
 
 _FAMILY_HELP = "family string such as staircase:7 or tworow:2,3"
 _FILE_HELP = "digraph file (text edge list or JSON)"
-_MAX_ORDER = ("--max-order", {"type": int, "default": None,
+_MAX_ORDER = ("--max-order", {"type": _int, "default": None,
                               "help": "refuse digraphs larger than this "
                                       "(default 20, or DISPLAB_MAX_ORDER)"})
 _DIGRAPH = (("--family", {"help": _FAMILY_HELP}),
@@ -455,7 +465,7 @@ COMMANDS = {
     "dispositions": (
         "list every disposition",
         (*_DIGRAPH,
-         ("--cap", {"type": int, "default": 100_000,
+         ("--cap", {"type": _int, "default": 100_000,
                     "help": "refuse to enumerate more dispositions than "
                             "this"}),
          _format("pretty", "json")),
@@ -474,28 +484,28 @@ COMMANDS = {
         _cmd_companion),
     "ode": (
         "differential equation families",
-        (("--catalan", {"type": int, "help": "equal-rows equation index"}),
+        (("--catalan", {"type": _int, "help": "equal-rows equation index"}),
          ("--tworow", {"help": "n1,n2 for the two-row equation"}),
-         ("--staircase", {"type": int,
+         ("--staircase", {"type": _int,
                           "help": "zigzag companion equation index"}),
-         ("--laguerre", {"type": int, "help": "plain Laguerre equation"}),
-         ("--r", {"type": int, "choices": (2, 3), "default": 2,
+         ("--laguerre", {"type": _int, "help": "plain Laguerre equation"}),
+         ("--r", {"type": _int, "choices": (2, 3), "default": 2,
                   "help": "attachment vertex for --catalan/--tworow"}),
          _format("pretty", "json")),
         _cmd_ode),
     "gram": (
         "Gram matrices under the exp(-x) weight",
-        (("--catalan", {"type": int,
+        (("--catalan", {"type": _int,
                         "help": "first N Catalan polynomials, "
                                 "sign-flipped"}),
-         ("--laguerre", {"type": int,
+         ("--laguerre", {"type": _int,
                          "help": "first N Laguerre polynomials"}),
          _format("csv", "json")),
         _cmd_gram),
     "nonstrict": (
         "non-strict counter table",
         (*_DIGRAPHS,
-         ("--max-size", {"type": int, "default": 5,
+         ("--max-size", {"type": _int, "default": 5,
                          "help": "tabulate sizes 1..N"}),
          _format("csv", "json")),
         _cmd_nonstrict),
@@ -504,17 +514,17 @@ COMMANDS = {
         (("--kind", {"required": True,
                      "help": "nspaths | nspath-size:J | exp:C | "
                              "bessel:M,K"}),
-         ("--order", {"type": int, "default": 12}),
+         ("--order", {"type": _int, "default": 12}),
          _format("pretty", "json")),
         _cmd_series),
     "extremal": (
         "maximize the counter over connected row-grid digraphs",
-        (("--order", {"type": int, "required": True}),),
+        (("--order", {"type": _int, "required": True}),),
         _cmd_extremal),
     "families": (
         "build a named digraph family",
         (("--spec", {"required": True, "help": "family string"}),
-         ("--max-order", {"type": int, "default": None})),
+         ("--max-order", {"type": _int, "default": None})),
         _cmd_families),
     "paper-tables": ("recompute the reference tables and diff against the "
                      "checked-in fixtures", (), _cmd_paper_tables),

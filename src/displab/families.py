@@ -11,8 +11,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .combinatorics import binomial, multinomial
-from .errors import ParseError
-from .graph import SimpleDigraph, _decimal, check_order
+from .errors import ParseError, _decimal
+from .graph import SimpleDigraph, check_order
 
 
 # ---------------------------------------------------------------------------

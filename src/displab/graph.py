@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import ParseError, SizeLimitError
+from .errors import ParseError, SizeLimitError, _decimal
 
 MASK_VERTEX_LIMIT = 63
 
@@ -340,19 +340,6 @@ def parse_digraph_text(text: str) -> Multidigraph:
             raise ParseError(f"arc ({u},{v}) out of range for n={n}")
         arcs.append((u, v))
     return Multidigraph(n, arcs)
-
-
-def _decimal(text: str) -> int:
-    """An ASCII decimal integer with an optional leading '-'; no '+', no
-    '_' separators, no spaces, no other digits.  A text that int() refuses
-    gets its error; the others int() takes are refused in its words, which
-    show at most 200 characters of the text's repr."""
-    value = int(text)
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(
-            f"invalid literal for int() with base 10: {text!r:.200}")
-    return value
 
 
 def parse_digraph_json(data) -> Multidigraph:

@@ -1,14 +1,15 @@
 """Second-order ODEs with polynomial coefficients and their constructions.
 
 The central construction: any degree-n polynomial P decomposes uniquely
-against the basis X^i d^i L_n(X) (the coefficient matrix is triangular with
-nonzero diagonal), which yields polynomials Q, R with
-P = Q L_n + R L_n'.  Repeated differentiation inside the rank-2 module
-spanned by (L_n, L_n'), using X L_n'' = -n L_n + (X - 1) L_n', expresses
-P, P', P'' in module coordinates.  Every denominator there is a power of
-X, so a coordinate pair is carried as two polynomials (a, b) over X^k and
-no rational function is ever normalized.  Eliminating L_n, L_n' by 2x2
-minors produces an ODE U Y'' + V Y' + W Y = 0 satisfied by P.
+against the basis X^i d^i L_n(X), with coefficients read off one closed
+form, and Horner's rule in the Euler operator theta = X d turns them into
+polynomials Q, R with P = Q L_n + R L_n'.  Repeated differentiation inside
+the rank-2 module spanned by (L_n, L_n'), using
+X L_n'' = -n L_n + (X - 1) L_n', expresses P, P', P'' in module
+coordinates.  Every denominator there is a power of X, so a coordinate
+pair is carried as two polynomials (a, b) over X^k and no rational
+function is ever normalized.  Eliminating L_n, L_n' by 2x2 minors
+produces an ODE U Y'' + V Y' + W Y = 0 satisfied by P.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import (ONE, Polynomial, TruncatedSeries, X, ZERO, laguerre,
-                      monomial, pochhammer, poly_to_series)
+from .algebra import (Polynomial, TruncatedSeries, X, ZERO, pochhammer,
+                      poly_to_series)
 
 
 # ---------------------------------------------------------------------------
@@ -147,43 +148,35 @@ def verify_ode_on_series(ode: Ode2, s: TruncatedSeries,
 
 
 # ---------------------------------------------------------------------------
-# decomposition against X^i d^i L_n and the (A, B) reduction
+# decomposition against X^i d^i L_n and the (Q, R) pair, in theta = X d
 # ---------------------------------------------------------------------------
 
-def laguerre_basis_polys(n: int) -> list[Polynomial]:
-    """[X^i d^i/dX^i L_n(X) for i = 0..n]."""
-    out = []
-    p = laguerre(n)
-    for i in range(n + 1):
-        out.append(monomial(i) * p)
-        p = p.derivative()
-    return out
+def _scaled_basis_coefficients(p: Polynomial, n: int) -> list[int]:
+    """The integers n! den c_i, i = 0..n, where p = num / den and
+    p = sum c_i X^i d^i L_n(X).
+
+    X^i d^i sends X^k to k(k-1)...(k-i+1) X^k, and L_n has X^k
+    coefficient (-1)^k C(n, k) / k!, so sum_i c_i / (k-i)! =
+    (-1)^k p_k / C(n, k); inverting that convolution with the series of
+    exp gives n! c_i = (-1)^i sum_{k<=i} p_k k! (n-k)! / (i-k)!.
+    """
+    tops = [c * math.factorial(k) for k, c in enumerate(p.num)]
+    return [(-1) ** i * sum(t * math.perm(n - k, n - i)
+                            for k, t in enumerate(tops[:i + 1]))
+            for i in range(n + 1)]
 
 
 def laguerre_basis_decompose(p: Polynomial, n: int | None = None) -> tuple[Fraction, ...]:
-    """Unique coefficients (c_0..c_n) with p = sum c_i X^i d^i L_n(X).
-
-    The i-th basis polynomial starts at degree i with coefficient
-    (-1)^i C(n, i), so the system is triangular and the solve proceeds
-    degree by degree.
-    """
+    """Unique coefficients (c_0..c_n) with p = sum c_i X^i d^i L_n(X)."""
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
     if n is None:
         n = p.degree
     if p.degree > n:
         raise ValueError(f"degree {p.degree} exceeds basis index {n}")
-    basis = laguerre_basis_polys(n)
-    coeffs: list[Fraction] = []
-    rem = p
-    for i in range(n + 1):
-        c = rem.coefficient(i) / basis[i].coefficient(i)
-        coeffs.append(c)
-        if c:
-            rem = rem - c * basis[i]
-    if not rem.is_zero():
-        raise AssertionError("triangular solve left a nonzero remainder")
-    return tuple(coeffs)
+    scale = math.factorial(n) * p.den
+    return tuple(Fraction(e, scale)
+                 for e in _scaled_basis_coefficients(p, n))
 
 
 def _step(a: Polynomial, b: Polynomial, k: int,
@@ -192,46 +185,31 @@ def _step(a: Polynomial, b: Polynomial, k: int,
 
     (a L_n + b L_n') / X^k has derivative (a+ L_n + b+ L_n') / X^(k+1)
     with a+ = X a' - k a - n b and b+ = X a + X b' + (X - 1 - k) b.
+    Equally, (a+, b+) are the coordinates of (theta - k)(a L_n + b L_n')
+    for the Euler operator theta = X d.
     """
     return (X * a.derivative() - k * a - n * b,
             X * a + X * b.derivative() + Polynomial((-1 - k, 1)) * b)
 
 
-def ab_reduction(n: int) -> tuple[list[Polynomial], list[Polynomial]]:
-    """Polynomials with X^i d^i L_n = a[i] L_n + b[i] L_n' for i = 0..n.
-
-    Seeded by a[0] = 1, b[0] = 0; each step is one module derivative, so
-    a[i] = X^i A_i and b[i] = X^i B_i for the rational functions with
-    d^i L_n = A_i L_n + B_i L_n'.
-    """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    a, b = [ONE], [ZERO]
-    for i in range(n):
-        next_a, next_b = _step(a[-1], b[-1], i, n)
-        a.append(next_a)
-        b.append(next_b)
-    return a, b
-
-
 def reduce_to_QR(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Polynomials (Q, R) with p = Q L_n + R L_n', n = deg p.
 
-    With p = sum c_i X^i d^i L_n, Q = sum c_i a[i] and R = sum c_i b[i].
-    For i >= 1, deg a[i] <= i-1 and deg b[i] <= i, so deg Q <= n-1 (for
-    n >= 1) and deg R <= n.
+    X^i d^i = theta (theta - 1) ... (theta - i + 1), so
+    p = sum c_i X^i d^i L_n is, by Horner's rule,
+    (c_0 + theta (c_1 + (theta - 1) (c_2 + ... (theta - n + 1) c_n))) L_n,
+    run on integer coordinates over the common denominator n! den.
+    deg Q <= n-1 (for n >= 1) and deg R <= n.
     """
     n = p.degree
     if n < 0:
         raise ValueError("cannot reduce the zero polynomial")
-    coeffs = laguerre_basis_decompose(p, n)
-    a, b = ab_reduction(n)
     q = r = ZERO
-    for c, a_i, b_i in zip(coeffs, a, b):
-        if c:
-            q = q + c * a_i
-            r = r + c * b_i
-    return q, r
+    for i, e in reversed(list(enumerate(_scaled_basis_coefficients(p, n)))):
+        q, r = _step(q, r, i, n)
+        q = q + e
+    scale = math.factorial(n) * p.den
+    return q / scale, r / scale
 
 
 # ---------------------------------------------------------------------------

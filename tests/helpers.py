@@ -2,7 +2,9 @@
 
 from math import comb
 
+from displab.algebra import ONE, ZERO, laguerre, monomial
 from displab.graph import SimpleDigraph
+from displab.ode import _step
 
 
 def random_simple_digraph(rng, n, p=None):
@@ -57,3 +59,41 @@ def zigzag_by_source_peeling(count):
         s.append(sum(comb(n - 1, 2 * i) * s[2 * i] * s[n - 2 * i - 1]
                      for i in range((n - 1) // 2 + 1)))
     return s
+
+
+def laguerre_basis_polys(n):
+    """Oracle: [X^i d^i/dX^i L_n(X) for i = 0..n], by differentiating L_n."""
+    out = []
+    p = laguerre(n)
+    for i in range(n + 1):
+        out.append(monomial(i) * p)
+        p = p.derivative()
+    return out
+
+
+def decompose_by_triangular_solve(p, n):
+    """Oracle: (c_0..c_n) with p = sum c_i X^i d^i L_n, solved degree by
+    degree; the i-th basis polynomial starts at X^i with coefficient
+    (-1)^i C(n, i)."""
+    basis = laguerre_basis_polys(n)
+    coeffs = []
+    rem = p
+    for i in range(n + 1):
+        c = rem.coefficient(i) / basis[i].coefficient(i)
+        coeffs.append(c)
+        if c:
+            rem = rem - c * basis[i]
+    assert rem.is_zero(), "triangular solve left a nonzero remainder"
+    return tuple(coeffs)
+
+
+def ab_reduction(n):
+    """Oracle: polynomials with X^i d^i L_n = a[i] L_n + b[i] L_n' for
+    i = 0..n, one module derivative ``ode._step`` at a time from
+    (a[0], b[0]) = (1, 0)."""
+    a, b = [ONE], [ZERO]
+    for i in range(n):
+        next_a, next_b = _step(a[-1], b[-1], i, n)
+        a.append(next_a)
+        b.append(next_b)
+    return a, b

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import displab
-from displab.cli import COMMANDS, DISPOSITIONS_CAP_LIMIT, main
+from displab.cli import COMMANDS, DISPOSITIONS_CAP_LIMIT, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -82,6 +82,51 @@ def test_long_bad_family_integer_is_cut_as_int_cuts_it(capsys):
     assert (code, out) == (2, "")
     assert err == (f"error: bad family string {family!r}: invalid literal "
                    f"for int() with base 10: '{'x' * 199}\n")
+
+
+def usage(command):
+    """The usage lines argparse prints before an error of the command."""
+    subparsers = next(a for a in build_parser()._actions
+                      if a.dest == "command")
+    return subparsers.choices[command].format_usage()
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (("extremal", "--order", "５"), "--order", "５"),
+    (("extremal", "--order", "1_0"), "--order", "1_0"),
+    (("count", "--family", "staircase:7", "--max-order", "６_３"),
+     "--max-order", "６_３"),
+    (("count", "--family", "path:3", "--max-order", "+5"),
+     "--max-order", "+5"),
+])
+def test_int_options_are_ascii_decimals(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err == (usage(argv[0]) + f"displab {argv[0]}: error: argument "
+                       f"{flag}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (("series", "--kind", "exp:1_0", "--order", "2"), None,
+     "bad series kind 'exp:1_0': invalid literal for int() with base 10: "
+     "'1_0'"),
+    (("ode", "--tworow", "２,３"), None,
+     "bad --tworow '２,３'"),
+    (("companion", "--family", "path:3", "--vertex", "１"), None,
+     "unknown vertex '１'"),
+    (("count", "--family", "path:3"), "２",
+     "bad DISPLAB_MAX_ORDER value '２'"),
+])
+def test_integers_in_cli_text_are_ascii_decimals(capsys, monkeypatch, argv,
+                                                 env, message):
+    if env is None:
+        monkeypatch.delenv("DISPLAB_MAX_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("DISPLAB_MAX_ORDER", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_size_cap_exit_code(capsys):

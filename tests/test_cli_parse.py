@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from displab.cli import COMMANDS, _parse, build_parser
+from displab.cli import COMMANDS, _int, _parse, build_parser
 
 TESTS = Path(__file__).resolve().parent
 BENCH = TESTS.parent / "bench"
@@ -33,7 +33,7 @@ def agrees(argv):
 def valid_value(flag, spec):
     if "choices" in spec:
         return str(spec["choices"][-1])
-    if spec.get("type") is int:
+    if spec.get("type") is _int:
         return "3"
     return VALID.get(flag, "path:3")
 
@@ -75,7 +75,7 @@ def malformed_cases():
                 at = base.index(flag)
                 rest = base[:at] + base[at + 2:]
                 yield rest
-            if spec.get("type") is int:
+            if spec.get("type") is _int:
                 yield rest + [flag, "x"]
                 yield rest + [flag, "-1"]
             else:

@@ -13,13 +13,15 @@ from displab.companion import (catalan_polynomial, catalan_polynomial_r3,
 from displab.families import make_empty
 from displab.companion import companion_by_recurrence
 from displab.nonstrict import nonstrict_path_series
-from displab.ode import (Ode2, ab_reduction, catalan_ode,
-                         laguerre_basis_decompose, laguerre_basis_polys,
+from displab.ode import (Ode2, catalan_ode, laguerre_basis_decompose,
                          laguerre_equation, laguerrean, laguerrean_reflected,
                          reduce_to_QR, two_row_ode, verify_ode,
                          verify_ode_on_series)
 
 from displab import golden
+
+from helpers import (ab_reduction, decompose_by_triangular_solve,
+                     laguerre_basis_polys)
 
 
 def rand_poly(rng, max_deg):
@@ -139,7 +141,36 @@ def test_decompose_rejects_zero():
         laguerre_basis_decompose(Polynomial())
 
 
-# -- A/B reduction ---------------------------------------------------------------
+def test_decompose_rejects_degree_above_index():
+    with pytest.raises(ValueError, match="degree 3 exceeds basis index 2"):
+        laguerre_basis_decompose(laguerre(3), 2)
+
+
+def test_closed_forms_match_the_oracles():
+    """The closed-form coefficients equal the triangular solve for every
+    basis index from deg p to deg p + 3, and (Q, R) equals the sum of
+    c_i (a[i], b[i]) over the step-by-step module pairs."""
+    rng = random.Random(53)
+    for deg in range(13):
+        for _ in range(3):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                      for _ in range(deg)]
+            coeffs.append(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                   rng.randint(2, 12)))
+            p = Polynomial(coeffs)
+            assert p.den > 1
+            for n in range(deg, deg + 4):
+                assert (laguerre_basis_decompose(p, n)
+                        == decompose_by_triangular_solve(p, n)), (p, n)
+            a, b = ab_reduction(deg)
+            q = r = Polynomial()
+            for c, a_i, b_i in zip(laguerre_basis_decompose(p), a, b):
+                q = q + c * a_i
+                r = r + c * b_i
+            assert reduce_to_QR(p) == (q, r), p
+
+
+# -- A/B reduction oracle ----------------------------------------------------------
 
 def test_ab_first_steps():
     a, b = ab_reduction(4)
