@@ -27,7 +27,7 @@ _EXPORTS = {
                  "make_staircase", "make_star", "make_two_row",
                  "qary_level_counter", "staircase_counter", "tree_counter",
                  "two_row_counter"),
-    "graph": ("Multidigraph", "SimpleDigraph", "normalize"),
+    "graph": ("SimpleDigraph",),
     "nonstrict": ("nonstrict_bruteforce", "nonstrict_count",
                   "order_polynomial"),
     "ode": ("Ode2", "catalan_ode", "laguerre_basis_decompose",

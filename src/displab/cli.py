@@ -4,8 +4,8 @@ Every computation in the library is reachable as a subcommand with
 deterministic output: rationals print as "p/q", polynomial JSON lists run
 lowest degree first, and pretty polynomial output runs highest degree
 first.  Exit codes: 0 success, 1 computation refused (size caps, mismatch,
-an internal MemoryError, RecursionError or OverflowError), 2 malformed
-input.
+an internal MemoryError, RecursionError or OverflowError) or a stdout
+closed by its reader, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -71,46 +71,40 @@ def _max_order(args) -> int:
     return cap
 
 
-def _load_digraph(source: str, max_order: int
+def _read_digraph(path: str, max_order: int
                   ) -> tuple[SimpleDigraph, dict[str, int]]:
-    """Resolve a --family string or --file path into a digraph plus labels.
+    """Read a digraph file, text edge list or JSON, plus its labels v1..vn.
 
-    A digraph of more than ``max_order`` vertices is refused before it or
-    its labels are built.
+    A digraph of more than ``max_order`` vertices is refused before its
+    labels are made.
     """
-    from .families import build_family
-    from .graph import (check_order, normalize, parse_digraph_json,
-                        parse_digraph_text)
+    from .graph import check_order, parse_digraph_json, parse_digraph_text
 
-    kind, _, rest = source.partition(":")
-    if kind == "file":
-        path = Path(rest)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            multi = parse_digraph_json(text)
-        else:
-            multi = parse_digraph_text(text)
-        check_order(multi.n, max_order)
-        d = normalize(multi)
-        return d, {f"v{i + 1}": i for i in range(d.n)}
-    return build_family(source, max_order)
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if text.lstrip().startswith("{"):
+        d = parse_digraph_json(text)
+    else:
+        d = parse_digraph_text(text)
+    check_order(d.n, max_order)
+    return d, {f"v{i + 1}": i for i in range(d.n)}
 
 
 def _digraph_from_args(args) -> tuple[SimpleDigraph, dict[str, int], str]:
-    if getattr(args, "family", None) and getattr(args, "file", None):
+    """The digraph of --family or --file, its labels and its name; an empty
+    --family counts as absent."""
+    if args.family and args.file:
         raise ParseError("give either --family or --file, not both")
-    if getattr(args, "family", None):
-        name, source = args.family, args.family
-    elif getattr(args, "file", None):
-        name, source = args.file, f"file:{args.file}"
-    else:
-        raise ParseError("one of --family or --file is required")
-    d, labels = _load_digraph(source, _max_order(args))
-    return d, labels, name
+    if args.family:
+        from .families import build_family
+
+        return *build_family(args.family, _max_order(args)), args.family
+    if args.file:
+        return *_read_digraph(args.file, _max_order(args)), args.file
+    raise ParseError("one of --family or --file is required")
 
 
 def _resolve_vertex(spec: str, labels: dict[str, int], n: int) -> int:
@@ -243,20 +237,20 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_nonstrict(args) -> int:
+    from .families import build_family
     from .nonstrict import nonstrict_counts
 
-    sources = args.family or []
-    if args.file:
-        sources.extend(f"file:{f}" for f in args.file)
-    if not sources:
+    if not (args.family or args.file):
         raise ParseError("at least one --family or --file is required")
     _at_least(args.max_size, 1, "--max-size")
     _at_most(args.max_size, MAX_SIZE_LIMIT, "--max-size")
-    rows = []
     cap = _max_order(args)
-    for src in sources:
-        d, _ = _load_digraph(src, cap)
-        rows.append((src, nonstrict_counts(d, range(1, args.max_size + 1))))
+    sizes = range(1, args.max_size + 1)
+    rows = [(family, nonstrict_counts(build_family(family, cap)[0], sizes))
+            for family in args.family or []]
+    rows += [(f"file:{path}", nonstrict_counts(_read_digraph(path, cap)[0],
+                                               sizes))
+             for path in args.file or []]
     if args.format == "json":
         _emit(_json({src: values for src, values in rows}))
     else:
@@ -355,9 +349,10 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_families(args) -> int:
     from .counting import count
+    from .families import build_family
 
     try:
-        d, labels = _load_digraph(args.spec, SPEC_ORDER_LIMIT)
+        d, labels = build_family(args.spec, SPEC_ORDER_LIMIT)
     except SizeLimitError:
         raise SizeLimitError(f"--spec {args.spec} exceeds the cap of "
                              f"{SPEC_ORDER_LIMIT} vertices") from None
@@ -628,14 +623,22 @@ def main(argv=None) -> int:
 def run() -> int:
     """Entry point of the ``displab`` script and of ``python -m displab.cli``.
 
-    Runs :func:`main` on the process's arguments, then freezes the heap
-    (``gc.freeze``): every object still alive moves to the collector's
-    permanent generation, so the collections at interpreter shutdown skip
-    it.  Exit handlers, stream flushing and the exit status are unchanged.
-    ``main`` itself has no process-wide effect, for callers that run it
-    in-process.
+    Runs :func:`main` on the process's arguments and flushes stdout, then
+    freezes the heap (``gc.freeze``): every object still alive moves to the
+    collector's permanent generation, so the collections at interpreter
+    shutdown skip it.  A stdout whose reader has closed it ends the process
+    with exit status 1 and nothing on stderr.  ``main`` itself has no
+    process-wide effect, for callers that run it in-process.
     """
-    code = main()
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered, and the
+        # flush at exit, to nowhere, as the Python docs do on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     gc.freeze()
     return code
 

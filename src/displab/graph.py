@@ -58,32 +58,8 @@ def check_order(order: int, max_order: int | None, more: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# multidigraphs and simple digraphs
+# simple digraphs
 # ---------------------------------------------------------------------------
-
-class Multidigraph:
-    """Raw input digraph: parallel arcs and loops allowed.
-
-    Arcs are stored as a tuple of ordered pairs; repetitions encode
-    multiplicity.
-    """
-
-    __slots__ = ("n", "arcs")
-
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        _check_count(n)
-        arcs = tuple((u, v) for u, v in arcs)
-        for u, v in arcs:
-            _check_arc(u, v, n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", arcs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multidigraph is immutable")
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return sum(1 for a in self.arcs if a == (u, v))
-
 
 def _check_count(n) -> None:
     if type(n) is not int:
@@ -102,7 +78,7 @@ def _check_arc(u, v, n: int) -> None:
 class SimpleDigraph:
     """Loop-free digraph with at most one arc per ordered pair.
 
-    ``had_loop`` is sticky metadata recorded by :func:`normalize`: a loop
+    ``had_loop`` is sticky metadata recorded by the file parsers: a loop
     forces the strict counter to zero, and keeping the flag lets the counting
     modules short-circuit without rescanning the arc multiset.
     """
@@ -296,25 +272,22 @@ def _strong_components(d: SimpleDigraph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# normalization and parsing
+# parsing
 # ---------------------------------------------------------------------------
 
-def normalize(g: Multidigraph) -> SimpleDigraph:
-    """Collapse parallel arcs and strip loops, remembering that a loop existed.
-
-    Replacing parallel arcs by a single arc never changes any counter; a loop
-    makes the strict counter zero, which the flag records.
-    """
-    had_loop = any(u == v for u, v in g.arcs)
-    arcs = {(u, v) for u, v in g.arcs if u != v}
-    return SimpleDigraph(g.n, arcs, had_loop=had_loop)
+def _collapse(n: int, arcs: list) -> SimpleDigraph:
+    """The simple digraph of a file's arcs: parallel arcs collapse into one,
+    which never changes any counter, and loops are dropped but recorded in
+    ``had_loop``, which makes the strict counter zero."""
+    return SimpleDigraph(n, [(u, v) for u, v in arcs if u != v],
+                         had_loop=any(u == v for u, v in arcs))
 
 
-def parse_digraph_text(text: str) -> Multidigraph:
+def parse_digraph_text(text: str) -> SimpleDigraph:
     """Text format: first line "n <count>", then one arc "u v" per line.
 
-    Duplicate lines encode multiplicity.  Blank lines and lines starting
-    with '#' are ignored.
+    Duplicate lines collapse into one arc and a loop only sets
+    ``had_loop``.  Blank lines and lines starting with '#' are ignored.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -339,14 +312,15 @@ def parse_digraph_text(text: str) -> Multidigraph:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"arc ({u},{v}) out of range for n={n}")
         arcs.append((u, v))
-    return Multidigraph(n, arcs)
+    return _collapse(n, arcs)
 
 
-def parse_digraph_json(data) -> Multidigraph:
+def parse_digraph_json(data) -> SimpleDigraph:
     """JSON format: {"n": int, "arcs": [[u, v], ...]}, with "arcs" optional.
 
     "n" and every endpoint must be JSON integers (not booleans), and every
-    arc a two-element array.
+    arc a two-element array.  Repeated arcs collapse into one and a loop
+    only sets ``had_loop``.
     """
     if isinstance(data, (str, bytes)):
         import json
@@ -370,4 +344,4 @@ def parse_digraph_json(data) -> Multidigraph:
         u, v = arc
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"arc ({u},{v}) out of range for n={n}")
-    return Multidigraph(n, arcs)
+    return _collapse(n, arcs)

@@ -46,6 +46,13 @@ def test_count_from_json_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "0"
 
 
+def test_empty_family_counts_as_absent(tmp_path, capsys):
+    path = tmp_path / "digraph.txt"
+    path.write_text("n 3\n0 1\n1 2\n")
+    code, out, _ = run(capsys, "count", "--family", "", "--file", str(path))
+    assert code == 0 and out.strip() == "1"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "count", "--family", "nosuch:4")
     assert code == 2 and "error" in err
@@ -330,6 +337,15 @@ def test_nonstrict_table(capsys):
     assert lines[1] == "path:2,1,3,6"
 
 
+def test_nonstrict_names_file_rows_by_their_path(tmp_path, capsys):
+    path = tmp_path / "digraph.txt"
+    path.write_text("n 2\n0 1\n0 1\n")
+    code, out, _ = run(capsys, "nonstrict", "--file", str(path), "--family",
+                       "path:2", "--max-size", "2")
+    assert code == 0
+    assert out == f"digraph,i=1,i=2\npath:2,1,3\nfile:{path},1,3\n"
+
+
 def test_nonstrict_max_size_below_one_exits_two(capsys):
     for size in ("0", "-2"):
         code, out, err = run(capsys, "nonstrict", "--family", "path:3",
@@ -521,6 +537,37 @@ def test_entry_point_keeps_output_and_exit_codes(capsys):
         proc = run_cli(*argv)
         assert proc.returncode == code and proc.stdout == "", argv
         assert proc.stderr.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("dispositions", "--family", "empty:8", "--cap", "50000"),
+    ("count", "--family", "staircase:12"),
+    ("nonstrict", "--family", "staircase:14", "--max-size", "8000"),
+    ("paper-tables",),
+])
+def test_closed_stdout_exits_one_quietly(argv):
+    # the reading end of stdout is closed before the command writes
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "displab.cli", *argv],
+                              env=env, stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_refusal_without_stdout_keeps_its_exit_code():
+    # a process started with fd 1 closed has no sys.stdout to flush
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "displab.cli", "count", "--family", "nosuch:4"],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=60,
+        preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: unknown family 'nosuch'\n")
 
 
 # runs displab.cli as __main__ with its address space capped at 512 MB

@@ -10,6 +10,8 @@ vertices under ``--max-order 63`` and at 64; and the integer spellings that
 import signal
 import time
 
+import pytest
+
 from displab import cli
 from displab.cli import COMMANDS, _int, main
 from displab.extremal import SEARCH_ORDER_LIMIT
@@ -118,3 +120,18 @@ def test_boundary_sweep_exits_cleanly(capsys, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert failures == []
     assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--family"],
+    ["dispositions", "--family"],
+    ["companion", "--vertex", "v1", "--family"],
+    ["nonstrict", "--family"],
+    ["families", "--spec"],
+])
+def test_file_family_string_is_an_unknown_family(tmp_path, capsys, argv):
+    path = tmp_path / "digraph.txt"
+    path.write_text("n 2\n0 1\n")
+    assert main([*argv, f"file:{path}"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: unknown family 'file'\n")

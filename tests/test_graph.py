@@ -4,31 +4,29 @@ import random
 
 import pytest
 
+import displab
 from displab.cli import main
 from displab.errors import ParseError
 from displab.families import make_empty, make_path, make_staircase
-from displab.graph import (Multidigraph, SimpleDigraph, full_mask, iter_mask,
-                           mask_from, normalize, parse_digraph_json,
-                           parse_digraph_text)
+from displab.graph import (SimpleDigraph, full_mask, iter_mask, mask_from,
+                           parse_digraph_json, parse_digraph_text)
 from helpers import random_simple_digraph
 
 
-def test_normalize_collapses_parallel_arcs():
-    g = Multidigraph(2, [(0, 1), (0, 1), (0, 1)])
-    d = normalize(g)
+def test_parse_text_collapses_repeated_lines():
+    d = parse_digraph_text("n 2\n0 1\n0 1\n0 1\n")
     assert d.arcs == frozenset({(0, 1)})
     assert not d.had_loop
 
 
-def test_normalize_strips_loop_and_remembers():
-    d = normalize(Multidigraph(1, [(0, 0)]))
+def test_parse_json_strips_loop_and_remembers():
+    d = parse_digraph_json('{"n": 1, "arcs": [[0, 0], [0, 0]]}')
     assert d.arcs == frozenset()
     assert d.had_loop
 
 
-def test_normalize_identity_on_empty():
-    d = normalize(Multidigraph(3, []))
-    assert d == make_empty(3)
+def test_parse_text_header_alone_is_empty():
+    assert parse_digraph_text("n 3\n") == make_empty(3)
 
 
 def test_reverse_path():
@@ -191,9 +189,7 @@ def test_staircase6_acyclic_by_independent_toposort():
 
 
 def test_parse_text_roundtrip():
-    g = parse_digraph_text("n 3\n0 1\n0 1\n1 2\n")
-    assert g.n == 3 and g.multiplicity(0, 1) == 2
-    d = normalize(g)
+    d = parse_digraph_text("n 3\n0 1\n0 1\n1 2\n")
     assert d == make_path(3)
 
 
@@ -222,7 +218,7 @@ def test_text_file_takes_only_ascii_decimals(tmp_path, capsys, text, message):
     assert out.out == "" and out.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("cls", [Multidigraph, SimpleDigraph])
+@pytest.mark.parametrize("cls", [SimpleDigraph])
 @pytest.mark.parametrize("n, arcs", [
     (2.5, []), (3.0, []), ("3", []), (True, []),
     (3, [(0, 1.9)]), (3, [(0.0, 1)]), (3, [(0, True)]), (3, [("0", 1)]),
@@ -232,9 +228,14 @@ def test_constructors_refuse_non_integers(cls, n, arcs):
         cls(n, arcs)
 
 
+@pytest.mark.parametrize("name", ["Multidigraph", "normalize"])
+def test_simple_digraph_is_the_only_digraph_type(name):
+    with pytest.raises(AttributeError):
+        getattr(displab, name)
+
+
 def test_parse_json():
-    g = parse_digraph_json('{"n": 2, "arcs": [[0, 1]]}')
-    assert normalize(g) == make_path(2)
+    assert parse_digraph_json('{"n": 2, "arcs": [[0, 1]]}') == make_path(2)
     with pytest.raises(ParseError):
         parse_digraph_json('{"n": 1, "arcs": [[0, 3]]}')
     with pytest.raises(ParseError):
