@@ -175,17 +175,6 @@ class Polynomial:
         return Polynomial.from_numerators(
             [i * c for i, c in enumerate(self.num) if i], self.den)
 
-    def antiderivative(self, constant=0) -> "Polynomial":
-        """Antiderivative with the given constant term (the caller fixes it)."""
-        constant = Fraction(constant)
-        scale = math.lcm(*range(1, len(self.num) + 1))
-        den = math.lcm(self.den * scale, constant.denominator)
-        lift = den // (self.den * scale)
-        num = [constant.numerator * (den // constant.denominator)]
-        num.extend(c * (scale // (i + 1)) * lift
-                   for i, c in enumerate(self.num))
-        return Polynomial.from_numerators(num, den)
-
     def __call__(self, x) -> Fraction:
         """The value at a rational x, by Horner's rule on the numerators."""
         if type(x) is int:
@@ -243,19 +232,6 @@ class Polynomial:
         if a and a[-1] < 0:
             a = [-c for c in a]
         return _raw(tuple(a), 1)
-
-    def content_normalized(self) -> "Polynomial":
-        """Divide out the content and make the leading coefficient positive.
-
-        This is the canonical representative used whenever two polynomials
-        are compared "up to a constant factor".
-        """
-        if self.is_zero():
-            return self
-        g = math.gcd(*self.num)
-        if self.num[-1] < 0:
-            g = -g
-        return _raw(tuple(c // g for c in self.num), 1)
 
     # -- serialization ----------------------------------------------------
 
@@ -504,14 +480,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: {self!r}")
-        return self.num
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):

@@ -120,6 +120,8 @@ def _resolve_vertex(spec: str, labels: dict[str, int], n: int) -> int:
 
 
 def _emit(text: str) -> None:
+    if sys.stdout is None:  # fd 1 was closed at start: as if by its reader
+        raise BrokenPipeError("stdout is closed")
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -626,18 +628,19 @@ def run() -> int:
     Runs :func:`main` on the process's arguments and flushes stdout, then
     freezes the heap (``gc.freeze``): every object still alive moves to the
     collector's permanent generation, so the collections at interpreter
-    shutdown skip it.  A stdout whose reader has closed it ends the process
-    with exit status 1 and nothing on stderr.  ``main`` itself has no
-    process-wide effect, for callers that run it in-process.
+    shutdown skip it.  Output to a stdout closed by its reader, or to fd 1
+    closed at start, ends the process with exit status 1 and nothing on
+    stderr.  ``main`` itself has no process-wide effect, for callers that
+    run it in-process.
     """
     try:
         code = main()
         if sys.stdout is not None:  # None when fd 1 was closed at start
             sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout: send what is still buffered, and the
-        # flush at exit, to nowhere, as the Python docs do on SIGPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout is closed: send what is still buffered, and the flush at
+        # exit, to nowhere, as the Python docs do on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return 1
     gc.freeze()
     return code

@@ -18,11 +18,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import Polynomial, _mul_vectors, laguerre, monomial, pochhammer
+from .algebra import Polynomial, _mul_vectors
 from .combinatorics import binomial
 from .counting import CounterTable
-from .families import (_seidel_entringer_row, staircase_counter,
-                       two_row_counter)
+from .families import _seidel_entringer_row
 from .graph import SimpleDigraph, full_mask, mask_size
 from .ode import laguerre_basis_decompose
 
@@ -231,47 +230,6 @@ def catalan_polynomial_r3(n: int) -> Polynomial:
     return two_row_companion(n, n, 3)
 
 
-# closed forms used as validators (the height row above is the primary path)
-
-def two_row_companion_closed(n1: int, n2: int, r: int) -> Polynomial:
-    """Printed closed forms for r in {2, 3}, small cases included."""
-    if r == 2:
-        if (n1, n2) == (0, 2):
-            return Polynomial((1,))
-        if n2 < 2:
-            raise ValueError("closed form needs n2 >= 2")
-        s = n1 + n2
-        sigma = two_row_counter(n1, n2)
-        lag = laguerre(s - 2)
-        f1 = Fraction(n1 * n2 + n1, s * (s - 1) * (s - 2))
-        return sigma * (lag.compose_neg()
-                        + f1 * (monomial(1) * lag.derivative().compose_neg()))
-    if r == 3:
-        if (n1, n2) == (0, 3):
-            return Polynomial((1,))
-        if (n1, n2) == (0, 4):
-            return Polynomial((1, 1))
-        if (n1, n2) == (1, 3):
-            return Polynomial((3, 1))
-        if n2 < 3:
-            raise ValueError("closed form needs n2 >= 3")
-        s = n1 + n2
-        sigma = two_row_counter(n1, n2)
-        lag = laguerre(s - 3)
-        f1 = Fraction(
-            2 * n1 * (n2 + 1)
-            * (n1**2 + 3 * n1 * n2 + n2**2 - 5 * n1 - 6 * n2 + 6)) / (
-                pochhammer(s - 3, 4) * (s - 3))
-        f2 = Fraction(2) * pochhammer(n1 - 1, 2) * pochhammer(n2, 2) / (
-            pochhammer(s - 4, 5) * (s - 3))
-        d1 = lag.derivative()
-        d2 = d1.derivative()
-        return sigma * (lag.compose_neg()
-                        + f1 * (monomial(1) * d1.compose_neg())
-                        + f2 * (monomial(2) * d2.compose_neg()))
-    raise ValueError("closed forms exist for r in {2, 3} only")
-
-
 # ---------------------------------------------------------------------------
 # zigzag (staircase) data
 # ---------------------------------------------------------------------------
@@ -283,16 +241,6 @@ def staircase_path_counter(n: int, i: int) -> int:
     if n < 0 or i < 0:
         raise ValueError("indices must be nonnegative")
     return _attached_counter(_seidel_entringer_row(n), i)
-
-
-def staircase_path_counter_closed(n: int, i: int) -> int:
-    """Alternating closed form for f(n, i) in terms of zigzag numbers."""
-    half = i // 2
-    total = (-1) ** half * staircase_counter(n + i)
-    for j in range(half):
-        total += ((-1) ** j * binomial(n + i, i - 2 * j - 1)
-                  * staircase_counter(n + 2 * j + 1))
-    return total
 
 
 class StaircaseData(NamedTuple):

@@ -97,12 +97,6 @@ def make_dispositional(spec: DispositionalSpec) -> SimpleDigraph:
     return SimpleDigraph(spec.order, arcs)
 
 
-def dispositional_connected(spec: DispositionalSpec) -> bool:
-    """True iff the underlying undirected graph is one weak component."""
-    d = make_dispositional(spec)
-    return len(d.underlying_components()) <= 1
-
-
 def staircase_spec(n: int) -> DispositionalSpec:
     """The zigzag digraph of order n as a dispositional spec.
 
@@ -179,17 +173,14 @@ def make_rooted_tree(parents: list[int]) -> SimpleDigraph:
     Arcs are oriented away from the root.
     """
     n = len(parents)
-    roots = [v for v, p in enumerate(parents) if p < 0]
-    if len(roots) != 1:
+    if sum(p < 0 for p in parents) != 1:
         raise ValueError("parent array must have exactly one root")
-    arcs = []
-    for v, p in enumerate(parents):
-        if p >= 0:
-            if not (0 <= p < n):
-                raise ValueError(f"parent {p} out of range")
-            arcs.append((p, v))
-    d = SimpleDigraph(n, arcs)
-    if len(d.underlying_components()) != 1 or not d.is_acyclic():
+    for p in parents:
+        if p >= n:
+            raise ValueError(f"parent {p} out of range")
+    # one root and n - 1 parent arcs: a tree exactly when acyclic
+    d = SimpleDigraph(n, [(p, v) for v, p in enumerate(parents) if p >= 0])
+    if not d.is_acyclic():
         raise ValueError("parent array does not encode a tree")
     return d
 

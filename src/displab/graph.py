@@ -22,13 +22,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def mask_from(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def iter_mask(mask: int) -> Iterator[int]:
     """Yield the set bits of a mask, lowest first."""
     while mask:
@@ -134,38 +127,6 @@ class SimpleDigraph:
         return SimpleDigraph(self.n, ((v, u) for u, v in self.arcs),
                              had_loop=self.had_loop)
 
-    def induced_subgraph(self, keep: int | Iterable[int]) -> "SimpleDigraph":
-        """Subgraph on the given vertices, reindexed in increasing order.
-
-        Loop provenance is not tracked per vertex, so the flag resets.
-        """
-        mask = keep if isinstance(keep, int) else mask_from(keep)
-        if mask & ~full_mask(self.n):
-            raise ValueError("keep set is not a subset of the vertex range")
-        old = list(iter_mask(mask))
-        renum = {v: i for i, v in enumerate(old)}
-        arcs = [(renum[u], renum[v]) for u, v in self.arcs
-                if u in renum and v in renum]
-        return SimpleDigraph(len(old), arcs)
-
-    def sinks_and_sources(self) -> tuple[int, int]:
-        """(sinks, sources) as bitmasks.
-
-        Sinks are the minimum points (out-degree 0) and sources the maximum
-        points (in-degree 0).
-        """
-        sinks = full_mask(self.n)
-        sources = full_mask(self.n)
-        for u, v in self.arcs:
-            sinks &= ~(1 << u)
-            sources &= ~(1 << v)
-        return sinks, sources
-
-    def underlying_components(self) -> list[int]:
-        """Weakly connected components as bitmasks, ordered by least vertex."""
-        nbr = [a | b for a, b in zip(self.out_masks(), self.in_masks())]
-        return _weak_components(nbr, full_mask(self.n))
-
     def is_acyclic(self) -> bool:
         """Every strong component is a single vertex."""
         return len(set(_strong_components(self))) == self.n
@@ -180,27 +141,6 @@ class SimpleDigraph:
                 for c in _strong_components(self)]
         arcs = {(comp[u], comp[v]) for u, v in self.arcs if comp[u] != comp[v]}
         return SimpleDigraph(len(renum), arcs)
-
-    def attach_path(self, v: int, length: int,
-                    reverse: bool = False) -> "SimpleDigraph":
-        """Append a directed path of `length` new vertices at v.
-
-        Forward: v -> z1 -> z2 -> ...; reverse: ... -> z2 -> z1 -> v.
-        length = 0 returns the digraph unchanged.
-        """
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range")
-        if length < 0:
-            raise ValueError("path length must be nonnegative")
-        if length == 0:
-            return self
-        arcs = set(self.arcs)
-        prev = v
-        for k in range(length):
-            z = self.n + k
-            arcs.add((z, prev) if reverse else (prev, z))
-            prev = z
-        return SimpleDigraph(self.n + length, arcs, had_loop=self.had_loop)
 
     # -- serialization ----------------------------------------------------
 

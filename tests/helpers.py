@@ -1,9 +1,12 @@
 """Shared helpers for the test suite."""
 
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
-from displab.algebra import ONE, ZERO, laguerre, monomial
-from displab.graph import SimpleDigraph
+from displab.algebra import (ONE, ZERO, Polynomial, binomial, laguerre,
+                             monomial, pochhammer)
+from displab.families import staircase_counter, two_row_counter
+from displab.graph import SimpleDigraph, _weak_components, full_mask, iter_mask
 from displab.ode import _step
 
 
@@ -97,3 +100,120 @@ def ab_reduction(n):
         a.append(next_a)
         b.append(next_b)
     return a, b
+
+
+def mask_from(vertices):
+    return sum(1 << v for v in set(vertices))
+
+
+def underlying_components(d):
+    """Weak components of d as masks, ordered by least vertex."""
+    nbr = [a | b for a, b in zip(d.out_masks(), d.in_masks())]
+    return _weak_components(nbr, full_mask(d.n))
+
+
+def induced_subgraph(d, keep):
+    """The subgraph on a vertex set or mask, renumbered in increasing order."""
+    old = sorted(iter_mask(keep) if isinstance(keep, int) else keep)
+    renum = {v: i for i, v in enumerate(old)}
+    return SimpleDigraph(len(old), [(renum[u], renum[v]) for u, v in d.arcs
+                                    if u in renum and v in renum])
+
+
+def sinks_and_sources(d):
+    """(sinks, sources) as masks: no out-arc, and no in-arc."""
+    return (full_mask(d.n) & ~mask_from(u for u, _ in d.arcs),
+            full_mask(d.n) & ~mask_from(v for _, v in d.arcs))
+
+
+def attach_path(d, v, length, reverse=False):
+    """d with v -> z1 -> ... -> z_length attached, reversed with `reverse`."""
+    chain = [v, *range(d.n, d.n + length)]
+    path = {(b, a) if reverse else (a, b) for a, b in zip(chain, chain[1:])}
+    return SimpleDigraph(d.n + length, d.arcs | path, had_loop=d.had_loop)
+
+
+def tree_refusal(parents):
+    """Oracle: None when the parent array encodes a rooted tree, that is,
+    when it has exactly one root and each vertex's parent chain reaches
+    that root within n steps; otherwise the messages ``make_rooted_tree``
+    may refuse it with (one per self-parent, as any of them may be met
+    first)."""
+    n = len(parents)
+    roots = [v for v, p in enumerate(parents) if p < 0]
+    if len(roots) != 1:
+        return {"parent array must have exactly one root"}
+    high = [p for p in parents if p >= n]
+    if high:
+        return {f"parent {high[0]} out of range"}
+    loops = {f"loop ({v},{v}) not allowed in SimpleDigraph"
+             for v, p in enumerate(parents) if p == v}
+    if loops:
+        return loops
+    root = roots[0]
+    for v in range(n):
+        for _ in range(n):
+            v = root if v == root else parents[v]
+        if v != root:
+            return {"parent array does not encode a tree"}
+    return None
+
+
+def antiderivative(p, constant=0):
+    """The antiderivative of p with the given constant term."""
+    return Polynomial([constant, *(c / i for i, c in enumerate(p.coeffs, 1))])
+
+
+def content_normalized(p):
+    """p over its content, with a positive leading coefficient."""
+    g = gcd(*p.num) or 1
+    return Polynomial.from_numerators(p.num, g if p.leading() > 0 else -g)
+
+
+def two_row_companion_closed(n1: int, n2: int, r: int) -> Polynomial:
+    """Printed closed forms for r in {2, 3}, small cases included."""
+    if r == 2:
+        if (n1, n2) == (0, 2):
+            return Polynomial((1,))
+        if n2 < 2:
+            raise ValueError("closed form needs n2 >= 2")
+        s = n1 + n2
+        sigma = two_row_counter(n1, n2)
+        lag = laguerre(s - 2)
+        f1 = Fraction(n1 * n2 + n1, s * (s - 1) * (s - 2))
+        return sigma * (lag.compose_neg()
+                        + f1 * (monomial(1) * lag.derivative().compose_neg()))
+    if r == 3:
+        if (n1, n2) == (0, 3):
+            return Polynomial((1,))
+        if (n1, n2) == (0, 4):
+            return Polynomial((1, 1))
+        if (n1, n2) == (1, 3):
+            return Polynomial((3, 1))
+        if n2 < 3:
+            raise ValueError("closed form needs n2 >= 3")
+        s = n1 + n2
+        sigma = two_row_counter(n1, n2)
+        lag = laguerre(s - 3)
+        f1 = Fraction(
+            2 * n1 * (n2 + 1)
+            * (n1**2 + 3 * n1 * n2 + n2**2 - 5 * n1 - 6 * n2 + 6)) / (
+                pochhammer(s - 3, 4) * (s - 3))
+        f2 = Fraction(2) * pochhammer(n1 - 1, 2) * pochhammer(n2, 2) / (
+            pochhammer(s - 4, 5) * (s - 3))
+        d1 = lag.derivative()
+        d2 = d1.derivative()
+        return sigma * (lag.compose_neg()
+                        + f1 * (monomial(1) * d1.compose_neg())
+                        + f2 * (monomial(2) * d2.compose_neg()))
+    raise ValueError("closed forms exist for r in {2, 3} only")
+
+
+def staircase_path_counter_closed(n: int, i: int) -> int:
+    """Alternating closed form for f(n, i) in terms of zigzag numbers."""
+    half = i // 2
+    total = (-1) ** half * staircase_counter(n + i)
+    for j in range(half):
+        total += ((-1) ** j * binomial(n + i, i - 2 * j - 1)
+                  * staircase_counter(n + 2 * j + 1))
+    return total

@@ -559,15 +559,19 @@ def test_closed_stdout_exits_one_quietly(argv):
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
-def test_refusal_without_stdout_keeps_its_exit_code():
-    # a process started with fd 1 closed has no sys.stdout to flush
+@pytest.mark.parametrize("argv, code, err", [
+    pytest.param(("count", "--family", "path:3"), 1, "", id="output"),
+    pytest.param(("count", "--family", "nosuch:4"), 2,
+                 "error: unknown family 'nosuch'\n", id="refusal"),
+])
+def test_started_without_stdout(argv, code, err):
+    # a process started with fd 1 closed has no sys.stdout: output ends it
+    # as a closed pipe does, and a refusal that prints nothing keeps its code
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "displab.cli", "count", "--family", "nosuch:4"],
-        env=env, stderr=subprocess.PIPE, text=True, timeout=60,
-        preexec_fn=lambda: os.close(1))
-    assert (proc.returncode, proc.stderr) == (
-        2, "error: unknown family 'nosuch'\n")
+    proc = subprocess.run([sys.executable, "-m", "displab.cli", *argv],
+                          env=env, stderr=subprocess.PIPE, text=True,
+                          timeout=60, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 # runs displab.cli as __main__ with its address space capped at 512 MB

@@ -19,9 +19,7 @@ from displab.companion import (CompanionResult, _HeightTable, _companion,
                                catalan_polynomial, catalan_polynomial_r3,
                                generalized_zigzag, staircase_companion,
                                staircase_data, staircase_path_counter,
-                               staircase_path_counter_closed,
-                               two_row_companion, two_row_companion_closed,
-                               two_row_decomposition)
+                               two_row_companion, two_row_decomposition)
 from displab.counting import count, count_bruteforce, enumerate_dispositions
 from displab.errors import SizeLimitError
 from displab.families import (build_family, make_empty, make_path,
@@ -29,8 +27,11 @@ from displab.families import (build_family, make_empty, make_path,
                               make_staircase, make_star, make_two_row,
                               staircase_counter, two_row_counter)
 from displab.graph import SimpleDigraph, full_mask
-from helpers import (disjoint_union, random_acyclic_digraph,
-                     random_simple_digraph, random_tree_parents)
+from helpers import (antiderivative, attach_path, disjoint_union,
+                     induced_subgraph, random_acyclic_digraph,
+                     random_simple_digraph, random_tree_parents,
+                     sinks_and_sources, staircase_path_counter_closed,
+                     two_row_companion_closed)
 
 from displab import golden
 
@@ -56,7 +57,7 @@ def test_counters_along_path_on_empty():
 def test_counters_along_path_staircase2():
     d = make_staircase(2)
     assert _companion(d, 0, False, 1).counters[1] == 2
-    assert count_bruteforce(d.attach_path(0, 1)) == 2
+    assert count_bruteforce(attach_path(d, 0, 1)) == 2
 
 
 def test_counters_along_path_match_separate_counts():
@@ -70,7 +71,7 @@ def test_counters_along_path_match_separate_counts():
         v = rng.randrange(n)
         reverse = k % 2 == 1
         assert _companion(d, v, reverse, 2 * n).counters == tuple(
-            count(d.attach_path(v, i, reverse=reverse))
+            count(attach_path(d, v, i, reverse=reverse))
             for i in range(2 * n + 1))
 
 
@@ -81,7 +82,7 @@ def test_counter_minus_one_convention():
     # v1 (index 0) is a source, not a sink: the convention gives 0
     assert height_counts(d, 0)[0] == 0
     # index 1 is a sink: the convention gives the counter without it
-    assert height_counts(d, 1)[0] == count(d.induced_subgraph({0, 2}))
+    assert height_counts(d, 1)[0] == count(induced_subgraph(d, {0, 2}))
     # a loop anywhere leaves no disposition, so no counter either
     looped = SimpleDigraph(3, [(0, 1)], had_loop=True)
     assert height_counts(looped, 1)[0] == 0
@@ -94,7 +95,7 @@ def test_counter_recurrence_identity_with_minus_one():
     for _ in range(15):
         d = random_acyclic_digraph(rng, rng.randint(1, 5))
         v = rng.randrange(d.n)
-        sinks, _ = d.sinks_and_sources()
+        sinks, _ = sinks_and_sources(d)
         rest = (1 << d.n) - 1
         counters = _companion(d, v, False, 4).counters
         for j in range(5):
@@ -102,9 +103,9 @@ def test_counter_recurrence_identity_with_minus_one():
             total = prev
             for w in range(d.n):
                 if w != v and sinks >> w & 1:
-                    sub = d.induced_subgraph(rest & ~(1 << w))
+                    sub = induced_subgraph(d, rest & ~(1 << w))
                     nv = v if v < w else v - 1
-                    total += count(sub.attach_path(nv, j))
+                    total += count(attach_path(sub, nv, j))
             assert counters[j] == total
 
 
@@ -196,7 +197,7 @@ def test_tabloidal_series_identity():
         v = rng.randrange(d.n)
         order = 2 * d.n + 2
         egf = series_from_counters(
-            [count(d.attach_path(v, i)) for i in range(order + 1)])
+            [count(attach_path(d, v, i)) for i in range(order + 1)])
         prod = egf * exp_series(-1, order)
         poly = companion_from_counters(d, v).poly
         for i in range(order + 1):
@@ -258,7 +259,7 @@ def test_companion_dual_by_direct_source_recurrence():
                 if w != v and inc[w] & mask == 0:
                     sub = comp(mask & ~(1 << w))
                     deriv = deriv + sub + sub.derivative()
-            poly = deriv.antiderivative(table.sigma(mask))
+            poly = antiderivative(deriv, table.sigma(mask))
             memo[mask] = poly
             return poly
 
@@ -529,7 +530,7 @@ def test_staircase_path_counter_vs_direct_count():
                 # order-0 head: the attached path alone, counter 1
                 assert staircase_path_counter(0, i) == 1
                 continue
-            value = count(d.attach_path(0, i))
+            value = count(attach_path(d, 0, i))
             assert staircase_path_counter(n, i) == value, (n, i)
 
 

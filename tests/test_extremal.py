@@ -12,7 +12,7 @@ from displab.extremal import (_GridCounter, _row_grids,
 from displab.families import (DispositionalSpec, make_dispositional,
                               make_empty, make_path, make_staircase, make_star,
                               staircase_counter, staircase_spec)
-from helpers import random_simple_digraph
+from helpers import random_simple_digraph, underlying_components
 
 
 def test_enumerate_order_one():
@@ -39,7 +39,7 @@ def test_enumerate_all_connected_and_deduplicated():
         digraphs = [make_dispositional(s)
                     for s in enumerate_connected_dispositional(m)]
         assert len({d.arcs for d in digraphs}) == len(digraphs)
-        assert all(len(d.underlying_components()) == 1 for d in digraphs)
+        assert all(len(underlying_components(d)) == 1 for d in digraphs)
 
 
 def test_enumerate_size_cap():

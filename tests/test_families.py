@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -9,14 +11,15 @@ from displab.algebra import binomial, multinomial
 from displab.counting import count, count_bruteforce
 from displab.errors import ParseError
 from displab.families import (DispositionalSpec, build_family,
-                              dispositional_connected, make_dispositional,
-                              make_empty, make_path, make_qary_level,
-                              make_rooted_tree, make_staircase, make_star,
-                              make_two_row, qary_level_counter,
-                              qary_level_parents, staircase_counter,
-                              staircase_spec, tree_counter, two_row_counter,
-                              two_row_labels)
-from helpers import random_tree_parents, zigzag_by_source_peeling
+                              make_dispositional, make_empty, make_path,
+                              make_qary_level, make_rooted_tree,
+                              make_staircase, make_star, make_two_row,
+                              qary_level_counter, qary_level_parents,
+                              staircase_counter, staircase_spec, tree_counter,
+                              two_row_counter, two_row_labels)
+from displab.graph import SimpleDigraph
+from helpers import (random_tree_parents, sinks_and_sources, tree_refusal,
+                     underlying_components, zigzag_by_source_peeling)
 
 
 def test_staircase5_arcs():
@@ -84,7 +87,7 @@ def test_two_row_min_points():
         for n2 in range(n1, 6):
             d = make_two_row(n1, n2)
             labels = two_row_labels(n1, n2)
-            sinks, _ = d.sinks_and_sources()
+            sinks, _ = sinks_and_sources(d)
             expected = {labels[f"u{n1}"]}
             if n1 < n2:
                 expected.add(labels[f"v{n2}"])
@@ -147,6 +150,39 @@ def test_tree_counter_rejects_garbage():
         tree_counter([-1, 5])
 
 
+def test_make_rooted_tree_on_every_small_parent_array():
+    # every array over {-1, ..., n-1}^n, self-parents included; a one-root
+    # array with in-range, non-self parents is a tree exactly when it is
+    # acyclic, so acyclicity is the only whole-graph check
+    for n in range(6):
+        accepted = 0
+        for parents in map(list, product(range(-1, n), repeat=n)):
+            refusal = tree_refusal(parents)
+            if refusal is None:
+                accepted += 1
+                arcs = [(p, v) for v, p in enumerate(parents) if p >= 0]
+                assert make_rooted_tree(parents) == SimpleDigraph(n, arcs)
+                continue
+            with pytest.raises(ValueError) as info:
+                make_rooted_tree(parents)
+            assert str(info.value) in refusal, parents
+        # Cayley: n^(n-1) rooted trees on n labelled vertices
+        assert accepted == (n ** (n - 1) if n else 0)
+
+
+def test_qary_tree_memory_grows_linearly():
+    # four times the vertices in about four times the memory; one n-bit
+    # neighbour mask per vertex took about twelve times
+    peaks = []
+    for level in (12, 14):
+        tracemalloc.start()
+        try:
+            make_qary_level(2, level)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 6, peaks
+
 def test_tree_counter_takes_deep_and_wide_trees():
     # iterative, so a 2,000-deep path costs no recursion
     assert tree_counter([-1] + list(range(1999))) == 1
@@ -191,6 +227,9 @@ def test_family_constructors_match_counters_small():
 
 
 def test_dispositional_connected():
+    def dispositional_connected(spec):
+        return len(underlying_components(make_dispositional(spec))) <= 1
+
     assert dispositional_connected(staircase_spec(5))
     assert not dispositional_connected(DispositionalSpec(((1, 0), (1, 5))))
     empty_like = DispositionalSpec(((1, 0),) + tuple((1, 9) for _ in range(4)))

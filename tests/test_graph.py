@@ -8,9 +8,11 @@ import displab
 from displab.cli import main
 from displab.errors import ParseError
 from displab.families import make_empty, make_path, make_staircase
-from displab.graph import (SimpleDigraph, full_mask, iter_mask, mask_from,
+from displab.graph import (SimpleDigraph, full_mask, iter_mask,
                            parse_digraph_json, parse_digraph_text)
-from helpers import random_simple_digraph
+from helpers import (attach_path, induced_subgraph, mask_from,
+                     random_simple_digraph, sinks_and_sources,
+                     underlying_components)
 
 
 def test_parse_text_collapses_repeated_lines():
@@ -40,18 +42,18 @@ def test_reverse_fixes_empty():
 
 def test_reverse_swaps_sinks_and_sources_on_staircase():
     d = make_staircase(3)
-    sinks, sources = d.sinks_and_sources()
-    rsinks, rsources = d.reverse().sinks_and_sources()
+    sinks, sources = sinks_and_sources(d)
+    rsinks, rsources = sinks_and_sources(d.reverse())
     assert sinks == rsources and sources == rsinks
 
 
 def test_induced_path_prefix():
-    assert make_path(3).induced_subgraph({0, 1}) == make_path(2)
+    assert induced_subgraph(make_path(3), {0, 1}) == make_path(2)
 
 
 def test_induced_identity():
     d = make_staircase(5)
-    assert d.induced_subgraph(full_mask(5)) == d
+    assert induced_subgraph(d, full_mask(5)) == d
 
 
 def test_staircase4_sink_removal_components():
@@ -59,27 +61,27 @@ def test_staircase4_sink_removal_components():
     # splits the rest, deleting the one at index 3 does not
     d = make_staircase(4)
     assert d.arcs == frozenset({(0, 1), (2, 1), (2, 3)})
-    split = d.induced_subgraph({0, 2, 3})
-    assert len(split.underlying_components()) == 2
-    joined = d.induced_subgraph({0, 1, 2})
-    assert len(joined.underlying_components()) == 1
+    split = induced_subgraph(d, {0, 2, 3})
+    assert len(underlying_components(split)) == 2
+    joined = induced_subgraph(d, {0, 1, 2})
+    assert len(underlying_components(joined)) == 1
 
 
 def test_sinks_and_sources_path():
-    sinks, sources = make_path(3).sinks_and_sources()
+    sinks, sources = sinks_and_sources(make_path(3))
     assert sinks == mask_from([2])
     assert sources == mask_from([0])
 
 
 def test_sinks_and_sources_staircase5():
     # minimum points are the even-indexed vertices v2, v4 (0-based 1, 3)
-    sinks, sources = make_staircase(5).sinks_and_sources()
+    sinks, sources = sinks_and_sources(make_staircase(5))
     assert sinks == mask_from([1, 3])
     assert sources == mask_from([0, 2, 4])
 
 
 def test_sinks_and_sources_empty():
-    sinks, sources = make_empty(3).sinks_and_sources()
+    sinks, sources = sinks_and_sources(make_empty(3))
     assert sinks == sources == full_mask(3)
 
 
@@ -133,26 +135,26 @@ def test_condense_matches_mutual_reachability():
 
 
 def test_components_empty_and_path():
-    assert make_empty(3).underlying_components() == [1, 2, 4]
-    assert make_path(4).underlying_components() == [full_mask(4)]
+    assert underlying_components(make_empty(3)) == [1, 2, 4]
+    assert underlying_components(make_path(4)) == [full_mask(4)]
 
 
 def test_components_disjoint_union():
     d = SimpleDigraph(5, [(0, 1), (2, 3), (3, 4)])
-    comps = d.underlying_components()
+    comps = underlying_components(d)
     assert sorted(c.bit_count() for c in comps) == [2, 3]
 
 
 def test_attach_path_examples():
-    assert make_path(1).attach_path(0, 2) == make_path(3)
+    assert attach_path(make_path(1), 0, 2) == make_path(3)
     d = make_staircase(4)
-    assert d.attach_path(2, 0) == d
-    e = make_empty(2).attach_path(0, 1)
+    assert attach_path(d, 2, 0) == d
+    e = attach_path(make_empty(2), 0, 1)
     assert e.n == 3 and e.arcs == frozenset({(0, 2)})
 
 
 def test_attach_path_reversed():
-    d = make_path(1).attach_path(0, 2, reverse=True)
+    d = attach_path(make_path(1), 0, 2, reverse=True)
     assert d.arcs == frozenset({(1, 0), (2, 1)})
 
 
@@ -162,9 +164,9 @@ def test_attach_path_increments():
         d = random_simple_digraph(rng, rng.randint(1, 6))
         v = rng.randrange(d.n)
         i = rng.randint(0, 3)
-        step = d.attach_path(v, i)
+        step = attach_path(d, v, i)
         tip = v if i == 0 else d.n + i - 1
-        assert d.attach_path(v, i + 1) == step.attach_path(tip, 1)
+        assert attach_path(d, v, i + 1) == attach_path(step, tip, 1)
 
 
 def test_is_acyclic():
@@ -282,18 +284,18 @@ def test_structural_properties_random_corpus():
     rng = random.Random(99)
     for _ in range(60):
         d = random_simple_digraph(rng, rng.randint(1, 8))
-        sinks, sources = d.sinks_and_sources()
-        rsinks, rsources = d.reverse().sinks_and_sources()
+        sinks, sources = sinks_and_sources(d)
+        rsinks, rsources = sinks_and_sources(d.reverse())
         assert sinks == rsources and sources == rsinks
         assert d.reverse().reverse() == d
         assert d.condense().is_acyclic()
-        comps = d.underlying_components()
+        comps = underlying_components(d)
         union = 0
         for c in comps:
             assert union & c == 0
             union |= c
         assert union == full_mask(d.n)
-        assert d.induced_subgraph(full_mask(d.n)) == d
+        assert induced_subgraph(d, full_mask(d.n)) == d
 
 
 def test_iter_mask_order():
