@@ -372,65 +372,52 @@ def _cmd_paper_tables(args) -> int:
     from .companion import (catalan_polynomial, catalan_polynomial_r3,
                             generalized_zigzag, staircase_companion,
                             staircase_data, two_row_companion)
-    from .families import staircase_counter
     from .ode import (Ode2, catalan_ode, laguerrean_reflected, reduce_to_QR,
                       two_row_ode)
     from .orthogonality import laguerre_inner
 
-    failures = []
+    poly = Polynomial.from_json
 
-    def check(name: str, ok: bool) -> None:
+    def ode(triple) -> Ode2:
+        return Ode2(*map(poly, triple))
+
+    def checks():
+        for i, expected in sorted(golden.GENERALIZED_ZIGZAG.items()):
+            yield (f"generalized-zigzag i={i}",
+                   generalized_zigzag(i, len(expected)) == expected)
+        for n, coeffs in sorted(golden.CATALAN_POLYNOMIALS.items()):
+            yield (f"catalan-polynomial n={n}",
+                   catalan_polynomial(n) == poly(coeffs))
+        for n, triple in sorted(golden.CATALAN_EQUATIONS.items()):
+            yield f"catalan-equation n={n}", catalan_ode(n, 2) == ode(triple)
+        yield ("two-row-2-3 polynomial",
+               two_row_companion(2, 3, 2) == poly(golden.TWO_ROW_2_3_POLY))
+        yield ("two-row-2-3 equation",
+               two_row_ode(2, 3, 2) == ode(golden.TWO_ROW_2_3_EQUATION))
+        for n, coeffs in sorted(golden.STAIRCASE_POLYNOMIALS.items()):
+            yield (f"staircase-polynomial n={n}",
+                   staircase_companion(n) == poly(coeffs))
+        for n, expected in sorted(golden.STAIRCASE_G_TUPLES.items()):
+            yield (f"staircase-g n={n}",
+                   [format_rational(x) for x in staircase_data(n).g]
+                   == expected)
+        for n, pair in sorted(golden.STAIRCASE_QR.items()):
+            yield (f"staircase-QR n={n}",
+                   reduce_to_QR(staircase_companion(n).compose_neg())
+                   == tuple(map(poly, pair)))
+        for n, triple in sorted(golden.STAIRCASE_EQUATIONS.items()):
+            yield (f"staircase-equation n={n}",
+                   laguerrean_reflected(staircase_companion(n)) == ode(triple))
+        cross = laguerre_inner(catalan_polynomial_r3(3).compose_neg(),
+                               catalan_polynomial_r3(4).compose_neg())
+        yield ("order-3 cross inner product",
+               format_rational(cross) == golden.R3_CROSS_INNER_3_4)
+
+    all_ok = True
+    for name, ok in checks():
         _emit(f"{name}: {'ok' if ok else 'MISMATCH'}")
-        if not ok:
-            failures.append(name)
-
-    for i, expected in sorted(golden.GENERALIZED_ZIGZAG.items()):
-        if i == 0:
-            got = [staircase_counter(n) for n in range(len(expected))]
-        else:
-            got = generalized_zigzag(i, len(expected))
-        check(f"generalized-zigzag i={i}", got == expected)
-
-    for n, coeffs in sorted(golden.CATALAN_POLYNOMIALS.items()):
-        check(f"catalan-polynomial n={n}",
-              catalan_polynomial(n) == Polynomial.from_json(coeffs))
-
-    for n, (u, v, w) in sorted(golden.CATALAN_EQUATIONS.items()):
-        expected = Ode2(Polynomial.from_json(u), Polynomial.from_json(v),
-                        Polynomial.from_json(w))
-        check(f"catalan-equation n={n}", catalan_ode(n, 2) == expected)
-
-    check("two-row-2-3 polynomial",
-          two_row_companion(2, 3, 2) == Polynomial.from_json(golden.TWO_ROW_2_3_POLY))
-    u, v, w = golden.TWO_ROW_2_3_EQUATION
-    check("two-row-2-3 equation",
-          two_row_ode(2, 3, 2) == Ode2(Polynomial.from_json(u),
-                                       Polynomial.from_json(v),
-                                       Polynomial.from_json(w)))
-
-    for n, coeffs in sorted(golden.STAIRCASE_POLYNOMIALS.items()):
-        check(f"staircase-polynomial n={n}",
-              staircase_companion(n) == Polynomial.from_json(coeffs))
-    for n, expected_g in sorted(golden.STAIRCASE_G_TUPLES.items()):
-        got = staircase_data(n).g
-        check(f"staircase-g n={n}",
-              [format_rational(x) for x in got] == expected_g)
-    for n, (q_str, r_str) in sorted(golden.STAIRCASE_QR.items()):
-        q, r = reduce_to_QR(staircase_companion(n).compose_neg())
-        check(f"staircase-QR n={n}",
-              q == Polynomial.from_json(q_str) and r == Polynomial.from_json(r_str))
-    for n, (u, v, w) in sorted(golden.STAIRCASE_EQUATIONS.items()):
-        expected = Ode2(Polynomial.from_json(u), Polynomial.from_json(v),
-                        Polynomial.from_json(w))
-        check(f"staircase-equation n={n}",
-              laguerrean_reflected(staircase_companion(n)) == expected)
-
-    cross = laguerre_inner(catalan_polynomial_r3(3).compose_neg(),
-                           catalan_polynomial_r3(4).compose_neg())
-    check("order-3 cross inner product",
-          format_rational(cross) == golden.R3_CROSS_INNER_3_4)
-
-    return 1 if failures else 0
+        all_ok = all_ok and ok
+    return 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------

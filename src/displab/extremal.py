@@ -14,7 +14,7 @@ isomorphic to the zigzag or its reverse.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
 from .combinatorics import multinomial
@@ -170,49 +170,13 @@ def max_counter_search(m: int) -> SearchReport:
 
 
 def iso_check(d1: SimpleDigraph, d2: SimpleDigraph) -> bool:
-    """Arc-preserving bijection test, brute force with degree pruning."""
+    """Arc-preserving bijection test, brute force over the vertex
+    permutations: with equal arc counts, a permutation that maps every arc
+    of d1 into d2's arc set is a bijection on arcs."""
     if max(d1.n, d2.n) > ISO_ORDER_LIMIT:
         raise SizeLimitError(
             f"isomorphism check is capped at order {ISO_ORDER_LIMIT}")
     if d1.n != d2.n or len(d1.arcs) != len(d2.arcs):
         return False
-
-    def signature(d: SimpleDigraph) -> list[tuple[int, int]]:
-        out = [0] * d.n
-        inc = [0] * d.n
-        for u, v in d.arcs:
-            out[u] += 1
-            inc[v] += 1
-        return list(zip(out, inc))
-
-    sig1, sig2 = signature(d1), signature(d2)
-    if sorted(sig1) != sorted(sig2):
-        return False
-    candidates = [[w for w in range(d2.n) if sig2[w] == sig1[v]]
-                  for v in range(d1.n)]
-    arcs2 = d2.arcs
-
-    def extend(v: int, image: list[int], used: set[int]) -> bool:
-        if v == d1.n:
-            return True
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for u in range(v):
-                if ((u, v) in d1.arcs) != ((image[u], w) in arcs2):
-                    ok = False
-                    break
-                if ((v, u) in d1.arcs) != ((w, image[u]) in arcs2):
-                    ok = False
-                    break
-            if ok:
-                image.append(w)
-                used.add(w)
-                if extend(v + 1, image, used):
-                    return True
-                image.pop()
-                used.discard(w)
-        return False
-
-    return extend(0, [], set())
+    return any(all((p[u], p[v]) in d2.arcs for u, v in d1.arcs)
+               for p in permutations(range(d1.n)))

@@ -8,6 +8,7 @@ arc sets literally.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import factorial, prod
 from typing import NamedTuple
 
 from .combinatorics import binomial, multinomial
@@ -55,46 +56,24 @@ class DispositionalSpec(_SpecFields):
     def to_json(self) -> dict:
         return {"rows": [{"len": a, "shift": b} for a, b in self.rows]}
 
-    @classmethod
-    def from_json(cls, data) -> "DispositionalSpec":
-        try:
-            return cls((r["len"], r["shift"]) for r in data["rows"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad dispositional spec: {exc}") from exc
-
 
 def make_dispositional(spec: DispositionalSpec) -> SimpleDigraph:
     """Build the grid digraph of a spec.
 
-    Vertices are numbered row-major starting from the *last* row, left to
-    right inside each row; this is the numbering under which the zigzag
-    digraphs come out with their canonical vertex order.
+    Cell (r, c) is row r at absolute column c; row r starts at the sum of
+    the first r + 1 shifts.  Vertices number the cells from the *last* row
+    up, left to right inside each row, the numbering under which the zigzag
+    digraphs come out with their canonical vertex order.  Each cell has an
+    arc to (r, c + 1) and to (r + 1, c) when that cell exists.
     """
-    starts = []
-    pos = 0
-    for idx, (_, shift) in enumerate(spec.rows):
-        pos = shift if idx == 0 else pos + shift
-        starts.append(pos)
-    # vertex index of (row, offset-within-row), last row numbered first
-    base = {}
-    counter = 0
-    for ridx in range(len(spec.rows) - 1, -1, -1):
-        length = spec.rows[ridx][0]
-        for off in range(length):
-            base[(ridx, off)] = counter
-            counter += 1
-    arcs = []
-    for ridx, (length, _) in enumerate(spec.rows):
-        for off in range(length - 1):
-            arcs.append((base[(ridx, off)], base[(ridx, off + 1)]))
-        if ridx + 1 < len(spec.rows):
-            nlen, _ = spec.rows[ridx + 1]
-            shift = starts[ridx + 1] - starts[ridx]
-            for off in range(length):
-                noff = off - shift
-                if 0 <= noff < nlen:
-                    arcs.append((base[(ridx, off)], base[(ridx + 1, noff)]))
-    return SimpleDigraph(spec.order, arcs)
+    starts = list(accumulate(b for _, b in spec.rows))
+    cells = [(r, c) for r in reversed(range(len(starts)))
+             for c in range(starts[r], starts[r] + spec.rows[r][0])]
+    index = {cell: v for v, cell in enumerate(cells)}
+    arcs = [(index[r, c], w) for r, c in cells
+            for w in (index.get((r, c + 1)), index.get((r + 1, c)))
+            if w is not None]
+    return SimpleDigraph(len(cells), arcs)
 
 
 def staircase_spec(n: int) -> DispositionalSpec:
@@ -189,16 +168,7 @@ def qary_level_parents(q: int, level: int) -> list[int]:
     """Parent array of the complete q-ary tree with `level` levels."""
     if q < 2 or level < 1:
         raise ValueError("need q >= 2 and level >= 1")
-    parents = [-1]
-    prev = [0]
-    for _ in range(level - 1):
-        nxt = []
-        for p in prev:
-            for _ in range(q):
-                parents.append(p)
-                nxt.append(len(parents) - 1)
-        prev = nxt
-    return parents
+    return [-1] + [(v - 1) // q for v in range(1, (q**level - 1) // (q - 1))]
 
 
 def make_qary_level(q: int, level: int) -> SimpleDigraph:
@@ -229,8 +199,8 @@ def staircase_counter(n: int) -> int:
 
 
 def tree_counter(parents: list[int]) -> int:
-    """Counter of a rooted tree: multinomial of the descendant subtree
-    orders times the product of their counters."""
+    """Counter of a rooted tree on n vertices: n! over the product of its
+    subtree orders (the hook-length formula)."""
     n = len(parents)
     children: list[list[int]] = [[] for _ in range(n)]
     root = -1
@@ -249,14 +219,10 @@ def tree_counter(parents: list[int]) -> int:
         order.extend(children[v])
     if len(order) != n:
         raise ValueError("parent array is not a single tree")
-    sizes, sigmas = [1] * n, [1] * n
-    for v in reversed(order):
-        kids = children[v]
-        sizes[v] += sum(sizes[c] for c in kids)
-        sigmas[v] = multinomial(sizes[c] for c in kids)
-        for c in kids:
-            sigmas[v] *= sigmas[c]
-    return sigmas[root]
+    sizes = [1] * n
+    for v in reversed(order[1:]):
+        sizes[parents[v]] += sizes[v]
+    return factorial(n) // prod(sizes)
 
 
 def qary_level_counter(q: int, level: int) -> int:

@@ -92,12 +92,6 @@ class Ode2:
         return {"U": self.u.to_json(), "V": self.v.to_json(),
                 "W": self.w.to_json()}
 
-    @classmethod
-    def from_json(cls, data) -> "Ode2":
-        return cls(Polynomial.from_json(data["U"]),
-                   Polynomial.from_json(data["V"]),
-                   Polynomial.from_json(data["W"]))
-
     def pretty(self) -> str:
         def wrap(p: Polynomial) -> str:
             return f"({p.pretty()})"

@@ -123,7 +123,8 @@ def test_report_json():
     data = report.to_json()
     assert data["order"] == 3 and data["max_counter"] == 2
     assert data["total_enumerated"] >= len(data["argmax_specs"]) >= 1
-    rebuilt = [DispositionalSpec.from_json(s) for s in data["argmax_specs"]]
+    rebuilt = [DispositionalSpec((r["len"], r["shift"]) for r in s["rows"])
+               for s in data["argmax_specs"]]
     assert tuple(rebuilt) == report.argmax_specs
 
 
@@ -163,6 +164,18 @@ def test_iso_staircase_reverse_parity():
 def test_iso_rejects_obvious_mismatches():
     assert not iso_check(make_path(3), make_empty(3))
     assert not iso_check(make_path(3), make_path(4))
+
+
+def test_iso_tells_apart_equal_degree_sequences():
+    # one 8-cycle and two 4-cycles: every vertex has in- and out-degree 1
+    from displab.graph import SimpleDigraph
+    cycle = SimpleDigraph(8, [(v, (v + 1) % 8) for v in range(8)])
+    halves = SimpleDigraph(8, [(v, v - v % 4 + (v + 1) % 4) for v in range(8)])
+    assert not iso_check(cycle, halves)
+    relabel = list(range(8))
+    random.Random(83).shuffle(relabel)
+    assert iso_check(halves, SimpleDigraph(
+        8, [(relabel[u], relabel[v]) for u, v in halves.arcs]))
 
 
 def test_iso_size_cap():

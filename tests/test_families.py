@@ -22,9 +22,13 @@ from helpers import (random_tree_parents, sinks_and_sources, tree_refusal,
                      underlying_components, zigzag_by_source_peeling)
 
 
-def test_staircase5_arcs():
-    assert make_staircase(5).arcs == frozenset(
-        {(0, 1), (2, 1), (2, 3), (4, 3)})
+@pytest.mark.parametrize("n", range(13))
+def test_staircase_arcs(n):
+    # the docstring's arcs: (2i, 2i+1) down and (2i, 2i-1) up, 0-based
+    down = {(2 * i, 2 * i + 1) for i in range(n) if 2 * i + 1 < n}
+    up = {(2 * i, 2 * i - 1) for i in range(1, n) if 2 * i < n}
+    d = make_staircase(n)
+    assert d.n == n and d.arcs == frozenset(down | up)
 
 
 def test_staircase_small_orders():
@@ -246,24 +250,12 @@ def test_dispositional_spec_validation():
         DispositionalSpec(((-1, 0),))
 
 
-def test_spec_json_roundtrip():
-    spec = staircase_spec(6)
-    assert DispositionalSpec.from_json(spec.to_json()) == spec
-
-
 @pytest.mark.parametrize("rows", [
     ((2.9, 0),), ((2, 0), (True, -1)), ((2, 0.0),), (("3", 0),),
     ((2, 0), (2, False))])
 def test_dispositional_spec_takes_only_ints(rows):
     with pytest.raises(ValueError, match="must be integers"):
         DispositionalSpec(rows)
-
-
-@pytest.mark.parametrize("value", ["3", 2.9, 2.0, True, None])
-def test_spec_from_json_takes_only_json_integers(value):
-    for row in ({"len": value, "shift": 0}, {"len": 2, "shift": value}):
-        with pytest.raises(ParseError, match="must be integers"):
-            DispositionalSpec.from_json({"rows": [row]})
 
 
 def test_build_family_strings():

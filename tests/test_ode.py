@@ -89,11 +89,6 @@ def test_ode2_reflect_equals_normalized_reflection():
         assert ode.reflect().reflect() == ode
 
 
-def test_ode2_json_roundtrip():
-    ode = catalan_ode(4)
-    assert Ode2.from_json(ode.to_json()) == ode
-
-
 # -- verify_ode ----------------------------------------------------------------
 
 def test_verify_ode_examples():
