@@ -11,7 +11,7 @@ import importlib
 _EXPORTS = {
     "algebra": ("Polynomial", "RationalFunction", "TruncatedSeries",
                 "generalized_laguerre", "laguerre", "pochhammer"),
-    "combinatorics": ("binomial", "factorial", "multinomial"),
+    "combinatorics": ("binomial", "multinomial"),
     "companion": ("CompanionResult", "StaircaseData", "TwoRowDecomposition",
                   "catalan_polynomial", "catalan_polynomial_r3",
                   "companion_by_recurrence", "companion_from_counters",
@@ -25,8 +25,7 @@ _EXPORTS = {
     "families": ("DispositionalSpec", "make_dispositional", "make_empty",
                  "make_path", "make_qary_level", "make_rooted_tree",
                  "make_staircase", "make_star", "make_two_row",
-                 "qary_level_counter", "staircase_counter", "tree_counter",
-                 "two_row_counter"),
+                 "staircase_counter", "two_row_counter"),
     "graph": ("SimpleDigraph",),
     "nonstrict": ("nonstrict_bruteforce", "nonstrict_count",
                   "order_polynomial"),

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .combinatorics import binomial, factorial, multinomial  # noqa: F401
+from .combinatorics import binomial, multinomial  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,6 @@ import math
 from typing import Iterable
 
 
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient, generalized to any integer upper argument.
 

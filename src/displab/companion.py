@@ -113,14 +113,6 @@ def companion_from_counters(d: SimpleDigraph, v: int,
     return _companion(d, v, reverse, 2 * d.n - 1)
 
 
-def _over_factorials(scaled: list[int]) -> Polynomial:
-    """sum_i scaled[i] X^i / i!, over the one denominator (len - 1)!."""
-    top = len(scaled) - 1
-    return Polynomial.from_numerators(
-        [s * math.perm(top, top - i) for i, s in enumerate(scaled)],
-        math.factorial(max(top, 0)))
-
-
 def companion_by_heights(d: SimpleDigraph, v: int,
                          reverse: bool = False) -> CompanionResult:
     """Companion polynomial and counters sigma(G_0..G_{n-1}) from N."""
@@ -137,6 +129,21 @@ def _attached_counter(heights: Sequence[int], i: int) -> int:
     return sum(c * math.comb(k + i, i) for k, c in enumerate(heights) if c)
 
 
+def _companion_poly(heights: Sequence[int]) -> Polynomial:
+    """T = sum_i T_i X^i from the height row N, over the one denominator
+    (n-1)!, n = len(N)."""
+    top = len(heights) - 1
+    return Polynomial.from_numerators(
+        [_taylor_numerator(heights, i) * math.perm(top, top - i)
+         for i in range(len(heights))], math.factorial(max(top, 0)))
+
+
+def _laguerre_weights(poly: Polynomial, m: int) -> tuple[Fraction, ...]:
+    """(-1)^i c_i, where T(-X) = sum_i c_i X^i d^i L_m(X) for T = poly."""
+    return tuple((-1) ** i * c for i, c in
+                 enumerate(laguerre_basis_decompose(poly.compose_neg(), m)))
+
+
 def _companion(d: SimpleDigraph, v: int, reverse: bool,
                horizon: int) -> CompanionResult:
     """T and sigma(G_0..G_horizon) from one height distribution N, read
@@ -145,8 +152,7 @@ def _companion(d: SimpleDigraph, v: int, reverse: bool,
     heights = height_counts(d, v)
     if reverse:
         heights = heights[::-1]
-    poly = _over_factorials([_taylor_numerator(heights, i)
-                             for i in range(d.n)])
+    poly = _companion_poly(heights)
     counters = tuple(_attached_counter(heights, i)
                      for i in range(horizon + 1))
     return CompanionResult(poly, counters, v, dual=reverse)
@@ -194,13 +200,13 @@ def two_row_decomposition(n1: int, n2: int, r: int) -> TwoRowDecomposition:
     the two-row companion T, m = n1 + n2 - r and sigma = T(0); c_i vanishes
     past min(n1, r-1)."""
     poly = two_row_companion(n1, n2, r)
-    raw = laguerre_basis_decompose(poly.compose_neg(), n1 + n2 - r)
+    weights = _laguerre_weights(poly, n1 + n2 - r)
     top = min(n1, r - 1) + 1
-    if any(raw[top:]):
+    if any(weights[top:]):
         raise AssertionError(f"two-row weight past index {top - 1}")
     sigma = poly(0)
-    return TwoRowDecomposition(n1, n2, r, tuple(
-        (-1) ** i * c / sigma for i, c in enumerate(raw[:top])))
+    return TwoRowDecomposition(n1, n2, r,
+                               tuple(w / sigma for w in weights[:top]))
 
 
 def two_row_companion(n1: int, n2: int, r: int) -> Polynomial:
@@ -208,9 +214,7 @@ def two_row_companion(n1: int, n2: int, r: int) -> Polynomial:
 
     sigma * sum_i f(n1,n2,r,i) X^i (d^i L_{n1+n2-r})(-X).
     """
-    heights = _two_row_heights(n1, n2, r)
-    return _over_factorials([_taylor_numerator(heights, i)
-                             for i in range(n1 + n2)])
+    return _companion_poly(_two_row_heights(n1, n2, r))
 
 
 def catalan_polynomial(n: int) -> Polynomial:
@@ -244,14 +248,9 @@ def staircase_path_counter(n: int, i: int) -> int:
 
 
 class StaircaseData(NamedTuple):
-    """Per-order zigzag data: attached-path counters f(n, i), the companion
-    coefficients a(n, i), the generalized zigzag numbers i! a(n, i), and the
-    Laguerre-pair weights g(n, i)."""
+    """The Laguerre-pair weights g(n, i) of the zigzag S_n at v1."""
 
     n: int
-    f_row: tuple[int, ...]
-    a: tuple[Fraction, ...]
-    s_gen: tuple[int, ...]
     g: tuple[Fraction, ...]
 
 
@@ -259,29 +258,16 @@ def staircase_companion(n: int) -> Polynomial:
     """Companion polynomial of the zigzag digraph S_n at v1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    heights = _seidel_entringer_row(n)
-    return _over_factorials([_taylor_numerator(heights, i) for i in range(n)])
+    return _companion_poly(_seidel_entringer_row(n))
 
 
-def staircase_data(n: int, horizon: int | None = None) -> StaircaseData:
-    """The rows for i = 0..horizon (default 2n-1), with g always full."""
+def staircase_data(n: int) -> StaircaseData:
+    """g(n, i) = (-1)^i c_i, where T(-X) = sum_i c_i X^i d^i L_{n-1}(X)
+    for the zigzag companion T; empty for n = 0."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if horizon is None:
-        horizon = max(2 * n - 1, 0)
-    elif horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    heights = _seidel_entringer_row(n)
-    f_row = tuple(_attached_counter(heights, i) for i in range(horizon + 1))
-    s_gen = tuple(_taylor_numerator(heights, i) for i in range(horizon + 1))
-    a = tuple(Fraction(s, math.factorial(i)) for i, s in enumerate(s_gen))
-    if n >= 1:
-        raw = laguerre_basis_decompose(
-            staircase_companion(n).compose_neg(), n - 1)
-        g = tuple((-1) ** i * c for i, c in enumerate(raw))
-    else:
-        g = ()
-    return StaircaseData(n, f_row, a, s_gen, g)
+    return StaircaseData(
+        n, _laguerre_weights(staircase_companion(n), n - 1) if n else ())
 
 
 def generalized_zigzag(i: int, count_values: int) -> list[int]:

@@ -139,9 +139,6 @@ class CounterTable(_PeelTable):
         check_mask_limit(d.n, "subset-memoized counting")
         super().__init__(d, 1)
 
-    def sigma(self, mask: int) -> int:
-        return self._value(mask)
-
     def _join(self, mask: int, comps: list[int]) -> int:
         total = multinomial(mask_size(c) for c in comps)
         for c in comps:

@@ -8,10 +8,9 @@ arc sets literally.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import factorial, prod
 from typing import NamedTuple
 
-from .combinatorics import binomial, multinomial
+from .combinatorics import binomial
 from .errors import ParseError, _decimal
 from .graph import SimpleDigraph, check_order
 
@@ -196,46 +195,6 @@ def staircase_counter(n: int) -> int:
     if n < 0:
         raise ValueError("order must be nonnegative")
     return sum(_seidel_entringer_row(n))
-
-
-def tree_counter(parents: list[int]) -> int:
-    """Counter of a rooted tree on n vertices: n! over the product of its
-    subtree orders (the hook-length formula)."""
-    n = len(parents)
-    children: list[list[int]] = [[] for _ in range(n)]
-    root = -1
-    for v, p in enumerate(parents):
-        if p < 0:
-            root = v
-        elif p < n:
-            children[p].append(v)
-        else:
-            raise ValueError(f"parent {p} out of range")
-    if root < 0:
-        raise ValueError("no root in parent array")
-    # breadth-first from the root, so every child comes after its parent
-    order = [root]
-    for v in order:
-        order.extend(children[v])
-    if len(order) != n:
-        raise ValueError("parent array is not a single tree")
-    sizes = [1] * n
-    for v in reversed(order[1:]):
-        sizes[parents[v]] += sizes[v]
-    return factorial(n) // prod(sizes)
-
-
-def qary_level_counter(q: int, level: int) -> int:
-    """Counter of the n-level complete q-ary tree:
-    sigma(level 1) = 1 and sigma(level n+1) = multinomial(q equal parts) *
-    sigma(level n)^q, each part of size (q^n - 1)/(q - 1)."""
-    if q < 2 or level < 1:
-        raise ValueError("need q >= 2 and level >= 1")
-    value = 1
-    for m in range(1, level):
-        part = (q**m - 1) // (q - 1)
-        value = multinomial([part] * q) * value**q
-    return value
 
 
 def two_row_counter(n1: int, n2: int) -> int:

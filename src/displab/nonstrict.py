@@ -154,10 +154,6 @@ def nonstrict_path(n: int, i: int) -> int:
     return binomial(i + n - 1, n)
 
 
-def nonstrict_empty(n: int, i: int) -> int:
-    return i**n
-
-
 def nonstrict_two_row(n1: int, n2: int, i: int) -> int:
     """Closed form for the two-row grid:
 

@@ -320,27 +320,9 @@ def two_row_ode(n1: int, n2: int, r: int) -> Ode2:
 
 
 def catalan_ode(n: int, r: int = 2) -> Ode2:
-    """The simplified equal-rows forms of :func:`two_row_ode`."""
-    if r == 2:
-        if n < 2:
-            raise ValueError("r = 2 needs n >= 2")
-        c = 8 * (2 * n - 1) ** 2
-        u = Polynomial((0, c, 3 * (n + 1)))
-        v = Polynomial((c, c, 3 * (n + 1)))
-        w = Polynomial((-4 * (2 * n - 1) * (8 * n**2 - 13 * n + 3),
-                        6 * (n + 1) * (1 - n)))
-        return Ode2(u, v, w)
-    if r == 3:
-        if n < 3:
-            raise ValueError("r = 3 needs n >= 3")
-        quart = 72 - 384 * n + 704 * n**2 - 512 * n**3 + 128 * n**4
-        u = Polynomial((0, quart, 48 - 25 * n - 42 * n**2 + 31 * n**3,
-                        2 * n + 2 * n**2))
-        v = Polynomial((quart, quart, 48 - 27 * n - 44 * n**2 + 31 * n**3,
-                        2 * n + 2 * n**2))
-        w = -2 * Polynomial((
-            -72 + 558 * n - 1438 * n**2 + 1560 * n**3 - 744 * n**4 + 128 * n**5,
-            -72 + 90 * n + 37 * n**2 - 94 * n**3 + 31 * n**4,
-            -3 * n - n**2 + 2 * n**3))
-        return Ode2(u, v, w)
-    raise ValueError("simplified equations exist for r in {2, 3} only")
+    """The equal-rows case n1 = n2 = n of :func:`two_row_ode`."""
+    if r not in (2, 3):
+        raise ValueError("simplified equations exist for r in {2, 3} only")
+    if n < r:
+        raise ValueError(f"r = {r} needs n >= {r}")
+    return two_row_ode(n, n, r)

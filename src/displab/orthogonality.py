@@ -60,15 +60,10 @@ class GramMatrix(NamedTuple):
     labels: tuple[str, ...]
 
     def to_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([""] + list(self.labels))
-        for label, row in zip(self.labels, self.entries):
-            writer.writerow([label] + [format_rational(x) for x in row])
-        return buf.getvalue()
+        lines = [",".join(["", *self.labels])]
+        lines += [",".join([label, *map(format_rational, row)])
+                  for label, row in zip(self.labels, self.entries)]
+        return "\n".join(lines) + "\n"
 
     def is_diagonal(self) -> bool:
         return all(x == 0

@@ -1,13 +1,13 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 from displab.algebra import (ONE, ZERO, Polynomial, binomial, laguerre,
-                             monomial, pochhammer)
+                             monomial, multinomial, pochhammer)
 from displab.families import staircase_counter, two_row_counter
 from displab.graph import SimpleDigraph, _weak_components, full_mask, iter_mask
-from displab.ode import _step
+from displab.ode import Ode2, _step
 
 
 def random_simple_digraph(rng, n, p=None):
@@ -217,3 +217,73 @@ def staircase_path_counter_closed(n: int, i: int) -> int:
         total += ((-1) ** j * binomial(n + i, i - 2 * j - 1)
                   * staircase_counter(n + 2 * j + 1))
     return total
+
+
+def catalan_ode_closed(n: int, r: int) -> Ode2:
+    """Oracle: the printed equal-rows forms of the two-row equations,
+    simplified at n1 = n2 = n, for r in {2, 3}."""
+    if r == 2:
+        c = 8 * (2 * n - 1) ** 2
+        u = Polynomial((0, c, 3 * (n + 1)))
+        v = Polynomial((c, c, 3 * (n + 1)))
+        w = Polynomial((-4 * (2 * n - 1) * (8 * n**2 - 13 * n + 3),
+                        6 * (n + 1) * (1 - n)))
+        return Ode2(u, v, w)
+    if r == 3:
+        quart = 72 - 384 * n + 704 * n**2 - 512 * n**3 + 128 * n**4
+        u = Polynomial((0, quart, 48 - 25 * n - 42 * n**2 + 31 * n**3,
+                        2 * n + 2 * n**2))
+        v = Polynomial((quart, quart, 48 - 27 * n - 44 * n**2 + 31 * n**3,
+                        2 * n + 2 * n**2))
+        w = -2 * Polynomial((
+            -72 + 558 * n - 1438 * n**2 + 1560 * n**3 - 744 * n**4 + 128 * n**5,
+            -72 + 90 * n + 37 * n**2 - 94 * n**3 + 31 * n**4,
+            -3 * n - n**2 + 2 * n**3))
+        return Ode2(u, v, w)
+    raise ValueError("simplified equations exist for r in {2, 3} only")
+
+
+def tree_counter(parents: list[int]) -> int:
+    """Oracle: the counter of a rooted tree on n vertices, n! over the
+    product of its subtree orders (the hook-length formula)."""
+    n = len(parents)
+    children: list[list[int]] = [[] for _ in range(n)]
+    root = -1
+    for v, p in enumerate(parents):
+        if p < 0:
+            root = v
+        elif p < n:
+            children[p].append(v)
+        else:
+            raise ValueError(f"parent {p} out of range")
+    if root < 0:
+        raise ValueError("no root in parent array")
+    # breadth-first from the root, so every child comes after its parent
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    if len(order) != n:
+        raise ValueError("parent array is not a single tree")
+    sizes = [1] * n
+    for v in reversed(order[1:]):
+        sizes[parents[v]] += sizes[v]
+    return factorial(n) // prod(sizes)
+
+
+def qary_level_counter(q: int, level: int) -> int:
+    """Oracle: the counter of the complete q-ary tree of `level` levels,
+    sigma(level 1) = 1 and sigma(level n+1) = multinomial(q equal parts) *
+    sigma(level n)^q, each part of size (q^n - 1)/(q - 1)."""
+    if q < 2 or level < 1:
+        raise ValueError("need q >= 2 and level >= 1")
+    value = 1
+    for m in range(1, level):
+        part = (q**m - 1) // (q - 1)
+        value = multinomial([part] * q) * value**q
+    return value
+
+
+def nonstrict_empty(n: int, i: int) -> int:
+    """Oracle: the arcless digraph on n vertices takes any of i values at
+    each vertex, so sigma^ns_i = i^n."""
+    return i**n

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from displab.algebra import (Polynomial, RationalFunction, TruncatedSeries,
-                             bessel_i_series, binomial, exp_series, factorial,
+                             bessel_i_series, binomial, exp_series,
                              format_rational, generalized_laguerre, laguerre,
                              monomial, multinomial, parse_rational, pochhammer,
                              poly_to_series, series_from_counters, X)
@@ -256,9 +256,8 @@ def test_series_derivative_and_truncate():
         s.truncate(9)
 
 
-def test_monomial_and_factorial():
+def test_monomial():
     assert monomial(3, 2) == Polynomial((0, 0, 0, 2))
-    assert factorial(5) == 120
 
 
 # -- the integer representation ---------------------------------------------

@@ -259,7 +259,7 @@ def test_companion_dual_by_direct_source_recurrence():
                 if w != v and inc[w] & mask == 0:
                     sub = comp(mask & ~(1 << w))
                     deriv = deriv + sub + sub.derivative()
-            poly = antiderivative(deriv, table.sigma(mask))
+            poly = antiderivative(deriv, table._value(mask))
             memo[mask] = poly
             return poly
 
@@ -553,7 +553,7 @@ def test_staircase_companion_matches_recurrence_route():
     for n in range(1, 41):
         d = make_staircase(n)
         assert staircase_companion(n) == companion_by_recurrence(d, 0), n
-        assert (staircase_data(n).f_row
+        assert (tuple(staircase_path_counter(n, i) for i in range(2 * n))
                 == _companion(d, 0, False, 2 * n - 1).counters), n
 
 
@@ -570,9 +570,9 @@ def test_staircase_path_counter_halving_identity():
 def test_staircase_coefficient_closed_forms():
     """The printed a(n, i) expressions for i <= 5 in zigzag numbers."""
     s = staircase_counter
+    rows = [generalized_zigzag(i, 13) for i in range(6)]
     for n in range(13):
-        data = staircase_data(n, horizon=5)
-        a = data.a
+        a = [Fraction(row[n], math.factorial(i)) for i, row in enumerate(rows)]
         assert a[0] == s(n)
         assert a[1] == s(n + 1) - s(n)
         assert a[2] == Fraction(s(n) + n * s(n + 1) - s(n + 2), 2)
@@ -595,32 +595,26 @@ def test_generalized_zigzag_rows():
 
 
 def test_staircase_data_fields():
-    data = staircase_data(5, horizon=6)
-    assert data.s_gen[0] == 16
-    assert data.f_row[0] == 16
+    data = staircase_data(5)
+    assert data.n == 5
+    assert generalized_zigzag(0, 6)[5] == 16
+    assert staircase_path_counter(5, 0) == 16
     assert [str(x) for x in data.g] == golden.STAIRCASE_G_TUPLES[5]
-    data6 = staircase_data(6)
-    assert data6.s_gen[5] == 16  # first nonzero entry of the order-5 row
+    # first nonzero entry of the order-5 row
+    assert generalized_zigzag(5, 7)[6] == 16
+    assert staircase_data(0) == (0, ())
 
 
 def test_staircase_data_tail_vanishes():
     # coefficients past degree n-1 must be zero: the degree bound in action
-    data = staircase_data(4, horizon=9)
-    assert all(x == 0 for x in data.a[4:])
+    assert all(generalized_zigzag(i, 5)[4] == 0 for i in range(4, 10))
 
 
 @pytest.mark.parametrize("call", [
     lambda: generalized_zigzag(-1, 3),
     lambda: generalized_zigzag(2, -1),
-    lambda: staircase_data(3, horizon=-1),
+    lambda: staircase_data(-1),
 ])
 def test_zigzag_negative_index_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
-
-
-def test_staircase_data_short_horizon_keeps_full_g():
-    # a short requested row must not truncate the weight tuple
-    short = staircase_data(6, horizon=2)
-    assert len(short.a) == 3 and len(short.f_row) == 3
-    assert short.g == staircase_data(6).g

@@ -82,7 +82,7 @@ def test_count_size_cap():
 def test_counter_table_conventions():
     d = make_staircase(4)
     table = CounterTable(d)
-    assert table.sigma(full_mask(4)) == 5
+    assert table._value(full_mask(4)) == 5
     assert table.memo[0] == 1
 
 
@@ -213,7 +213,7 @@ def test_sink_vs_source_recursion():
     rng = random.Random(23)
     for _ in range(60):
         d = random_simple_digraph(rng, rng.randint(1, 7))
-        assert count_by_peeling(d, sources=True) == CounterTable(d).sigma(
+        assert count_by_peeling(d, sources=True) == CounterTable(d)._value(
             full_mask(d.n))
 
 
@@ -227,7 +227,7 @@ def test_component_law():
             expected *= count(induced_subgraph(d, c))
         assert count(d) == expected
         # whole-graph recursion without factorization agrees
-        assert CounterTable(d).sigma(full_mask(d.n)) == count(d)
+        assert CounterTable(d)._value(full_mask(d.n)) == count(d)
 
 
 def test_positivity_iff_acyclic():
@@ -312,7 +312,7 @@ def test_other_side_finishes_when_the_chosen_side_runs_out(monkeypatch):
         *counting._layers(table._inc, full)]
     monkeypatch.setattr(counting, "STATE_LIMIT", 16)
     with pytest.raises(SizeLimitError):
-        CounterTable(d).sigma(full)
+        CounterTable(d)._value(full)
     table = CounterTable(d)
     assert table._count(full) == count_bruteforce(d)
     assert table._blocked is table._inc

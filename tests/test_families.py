@@ -14,11 +14,11 @@ from displab.families import (DispositionalSpec, build_family,
                               make_dispositional, make_empty, make_path,
                               make_qary_level, make_rooted_tree,
                               make_staircase, make_star, make_two_row,
-                              qary_level_counter, qary_level_parents,
-                              staircase_counter, staircase_spec, tree_counter,
-                              two_row_counter, two_row_labels)
+                              qary_level_parents, staircase_counter,
+                              staircase_spec, two_row_counter, two_row_labels)
 from displab.graph import SimpleDigraph
-from helpers import (random_tree_parents, sinks_and_sources, tree_refusal,
+from helpers import (qary_level_counter, random_tree_parents,
+                     sinks_and_sources, tree_counter, tree_refusal,
                      underlying_components, zigzag_by_source_peeling)
 
 
@@ -54,11 +54,6 @@ def test_two_row_matches_dispositional_spec():
         for n2 in range(n1, 5):
             spec = DispositionalSpec(((n2, 0), (n1, 0)))
             assert make_two_row(n1, n2) == make_dispositional(spec)
-
-
-def test_staircase_as_dispositional_arc_identical():
-    for n in range(11):
-        assert make_dispositional(staircase_spec(n)) == make_staircase(n)
 
 
 def test_staircase_even_spec_shape():

@@ -18,12 +18,13 @@ from displab.families import (build_family, make_empty, make_path, make_star,
                               make_two_row)
 from displab.graph import SimpleDigraph, full_mask
 from displab.nonstrict import (NonStrictCounter, nonstrict_bruteforce, nonstrict_count,
-                               nonstrict_counts, nonstrict_empty, nonstrict_path,
+                               nonstrict_counts, nonstrict_path,
                                nonstrict_path_series,
                                nonstrict_path_series_fixed_size,
                                nonstrict_two_row, order_polynomial)
-from helpers import (disjoint_union, induced_subgraph, random_acyclic_digraph,
-                     random_simple_digraph, underlying_components)
+from helpers import (disjoint_union, induced_subgraph, nonstrict_empty,
+                     random_acyclic_digraph, random_simple_digraph,
+                     underlying_components)
 
 
 def test_bruteforce_examples():

@@ -20,8 +20,8 @@ from displab.ode import (Ode2, catalan_ode, laguerre_basis_decompose,
 
 from displab import golden
 
-from helpers import (ab_reduction, decompose_by_triangular_solve,
-                     laguerre_basis_polys)
+from helpers import (ab_reduction, catalan_ode_closed,
+                     decompose_by_triangular_solve, laguerre_basis_polys)
 
 
 def rand_poly(rng, max_deg):
@@ -326,10 +326,10 @@ def test_catalan_ode_printed():
 
 
 def test_catalan_ode_equals_two_row_ode_on_diagonal():
-    for n in range(2, 8):
-        assert catalan_ode(n, 2) == two_row_ode(n, n, 2)
-    for n in range(3, 7):
-        assert catalan_ode(n, 3) == two_row_ode(n, n, 3)
+    # the printed simplified forms are the equal-rows two-row equations
+    for r in (2, 3):
+        for n in range(r, 201):
+            assert catalan_ode_closed(n, r) == two_row_ode(n, n, r), (n, r)
 
 
 def test_two_row_ode_satisfied_by_companions():
