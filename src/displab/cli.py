@@ -56,19 +56,10 @@ def _at_most(value: int, most: int, option: str) -> None:
 
 
 def _max_order(args) -> int:
-    cap = getattr(args, "max_order", None)
-    source = "--max-order"
-    if cap is None:
-        env = os.environ.get("DISPLAB_MAX_ORDER")
-        if not env:
-            return DEFAULT_MAX_ORDER
-        try:
-            cap = _int(env)
-        except ValueError as exc:
-            raise ParseError(f"bad DISPLAB_MAX_ORDER value {env!r}") from exc
-        source = "DISPLAB_MAX_ORDER"
-    _at_least(cap, 0, source)
-    return cap
+    if args.max_order is None:
+        return DEFAULT_MAX_ORDER
+    _at_least(args.max_order, 0, "--max-order")
+    return args.max_order
 
 
 def _read_digraph(path: str, max_order: int
@@ -93,17 +84,17 @@ def _read_digraph(path: str, max_order: int
     return d, {f"v{i + 1}": i for i in range(d.n)}
 
 
-def _digraph_from_args(args) -> tuple[SimpleDigraph, dict[str, int], str]:
-    """The digraph of --family or --file, its labels and its name; an empty
-    --family counts as absent."""
+def _digraph_from_args(args) -> tuple[SimpleDigraph, dict[str, int]]:
+    """The digraph of --family or --file and its labels; an empty --family
+    counts as absent."""
     if args.family and args.file:
         raise ParseError("give either --family or --file, not both")
     if args.family:
         from .families import build_family
 
-        return *build_family(args.family, _max_order(args)), args.family
+        return build_family(args.family, _max_order(args))
     if args.file:
-        return *_read_digraph(args.file, _max_order(args)), args.file
+        return _read_digraph(args.file, _max_order(args))
     raise ParseError("one of --family or --file is required")
 
 
@@ -138,7 +129,7 @@ def _json(data) -> str:
 def _cmd_count(args) -> int:
     from .counting import count
 
-    d, _, _ = _digraph_from_args(args)
+    d, _ = _digraph_from_args(args)
     value = count(d)
     if args.format == "json":
         _emit(_json({"count": value, "n": d.n}))
@@ -152,7 +143,7 @@ def _cmd_dispositions(args) -> int:
 
     _at_least(args.cap, 0, "--cap")
     _at_most(args.cap, DISPOSITIONS_CAP_LIMIT, "--cap")
-    d, _, _ = _digraph_from_args(args)
+    d, _ = _digraph_from_args(args)
     dispositions = enumerate_dispositions(d, cap=args.cap)
     if args.format == "json":
         _emit(_json({"count": len(dispositions),
@@ -166,7 +157,7 @@ def _cmd_dispositions(args) -> int:
 def _cmd_companion(args) -> int:
     from .companion import companion_by_heights, companion_from_counters
 
-    d, labels, _ = _digraph_from_args(args)
+    d, labels = _digraph_from_args(args)
     v = _resolve_vertex(args.vertex, labels, d.n)
     if args.route == "recurrence":
         result = companion_by_heights(d, v, reverse=args.dual)
@@ -428,7 +419,7 @@ _FAMILY_HELP = "family string such as staircase:7 or tworow:2,3"
 _FILE_HELP = "digraph file (text edge list or JSON)"
 _MAX_ORDER = ("--max-order", {"type": _int, "default": None,
                               "help": "refuse digraphs larger than this "
-                                      "(default 20, or DISPLAB_MAX_ORDER)"})
+                                      "(default 20)"})
 _DIGRAPH = (("--family", {"help": _FAMILY_HELP}),
             ("--file", {"help": _FILE_HELP}),
             _MAX_ORDER)

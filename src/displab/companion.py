@@ -22,7 +22,7 @@ from .algebra import Polynomial, _mul_vectors
 from .combinatorics import binomial
 from .counting import CounterTable
 from .families import _seidel_entringer_row
-from .graph import SimpleDigraph, full_mask, mask_size
+from .graph import SimpleDigraph
 from .ode import laguerre_basis_decompose
 
 
@@ -53,7 +53,7 @@ class _HeightTable(CounterTable):
         comp = next(c for c in comps if c >> v & 1)
         inner = self._value(comp, True)
         rest = super()._join(mask ^ comp, [c for c in comps if c != comp])
-        m, s = len(inner), mask_size(mask)
+        m, s = len(inner), mask.bit_count()
         w = _mul_vectors(
             [x * math.comb(m - 1, j) for j, x in enumerate(inner)],
             [math.comb(s - m, i) for i in range(s - m + 1)])
@@ -64,7 +64,7 @@ class _HeightTable(CounterTable):
         v = self.v
         if not mask >> v & 1:
             return super()._peel(mask)
-        size = mask_size(mask)
+        size = mask.bit_count()
         # a peeled sink takes the lowest value and lifts the others by one;
         # a peeled source takes the highest
         shift = 1 if self._blocked is self.out else 0
@@ -81,13 +81,13 @@ class _HeightTable(CounterTable):
 def height_counts(d: SimpleDigraph, v: int) -> tuple[int, ...]:
     """(N_1, ..., N_n), where N_k dispositions of d have f(v) = k.
 
-    All zeros when a loop was normalized away or a directed cycle exists.
+    All zeros when a loop or a directed cycle exists.
     """
     if not (0 <= v < d.n):
         raise ValueError(f"vertex {v} out of range")
-    if d.had_loop or not d.is_acyclic():
+    if not d.is_acyclic():
         return (0,) * d.n
-    return _HeightTable(d, v)._count(full_mask(d.n))
+    return _HeightTable(d, v)._count((1 << d.n) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from itertools import permutations
 from .combinatorics import multinomial
 from .errors import CapExceededError, SizeLimitError
 from .graph import (SimpleDigraph, _weak_components, check_mask_limit,
-                    full_mask, iter_mask, mask_size)
+                    iter_mask)
 
 BRUTE_FORCE_LIMIT = 9
 ENUMERATION_ORDER_LIMIT = 12
@@ -57,7 +57,7 @@ def _layers(blocked: list[int], mask: int):
     they are gone, and so on."""
     while mask:
         layer = sum(1 << u for u in iter_mask(mask) if blocked[u] & mask == 0)
-        yield mask_size(layer)
+        yield layer.bit_count()
         mask ^= layer
 
 
@@ -140,7 +140,7 @@ class CounterTable(_PeelTable):
         super().__init__(d, 1)
 
     def _join(self, mask: int, comps: list[int]) -> int:
-        total = multinomial(mask_size(c) for c in comps)
+        total = multinomial(c.bit_count() for c in comps)
         for c in comps:
             total *= self._value(c, True)
         return total
@@ -155,14 +155,12 @@ class CounterTable(_PeelTable):
 def count(d: SimpleDigraph) -> int:
     """Number of dispositions of d.
 
-    Zero when a loop was normalized away or when a directed cycle exists.
+    Zero when a loop or a directed cycle exists, at any order.
     """
-    if d.had_loop:
-        return 0
-    check_mask_limit(d.n, "count")
     if not d.is_acyclic():
         return 0
-    return CounterTable(d)._count(full_mask(d.n))
+    check_mask_limit(d.n, "count")
+    return CounterTable(d)._count((1 << d.n) - 1)
 
 
 def count_bruteforce(d: SimpleDigraph) -> int:
@@ -170,8 +168,6 @@ def count_bruteforce(d: SimpleDigraph) -> int:
     if d.n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
             f"brute-force counting is capped at {BRUTE_FORCE_LIMIT} vertices")
-    if d.had_loop:
-        return 0
     arcs = tuple(d.arcs)
     total = 0
     for perm in permutations(range(1, d.n + 1)):
@@ -210,6 +206,6 @@ def enumerate_dispositions(d: SimpleDigraph,
                 values[v] = value
                 peel(mask & ~(1 << v), value - 1)
 
-    peel(full_mask(d.n), d.n)
+    peel((1 << d.n) - 1, d.n)
     results.sort()
     return results

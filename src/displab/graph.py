@@ -18,20 +18,12 @@ MASK_VERTEX_LIMIT = 63
 # bitmask helpers
 # ---------------------------------------------------------------------------
 
-def full_mask(n: int) -> int:
-    return (1 << n) - 1
-
-
 def iter_mask(mask: int) -> Iterator[int]:
     """Yield the set bits of a mask, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_size(mask: int) -> int:
-    return mask.bit_count()
 
 
 def check_mask_limit(n: int, what: str = "subset-memoized operation") -> None:
@@ -69,38 +61,33 @@ def _check_arc(u, v, n: int) -> None:
 
 
 class SimpleDigraph:
-    """Loop-free digraph with at most one arc per ordered pair.
+    """Digraph with at most one arc per ordered pair.
 
-    ``had_loop`` is sticky metadata recorded by the file parsers: a loop
-    forces the strict counter to zero, and keeping the flag lets the counting
-    modules short-circuit without rescanning the arc multiset.
+    A loop (u, u) is an arc like any other: it asks f(u) > f(u) of a
+    disposition, which no map meets, and f(u) >= f(u) of a non-strict one,
+    which every map meets.
     """
 
-    __slots__ = ("n", "arcs", "had_loop")
+    __slots__ = ("n", "arcs")
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = (),
-                 had_loop: bool = False):
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         _check_count(n)
         arcset = frozenset((u, v) for u, v in arcs)
         for u, v in arcset:
             _check_arc(u, v, n)
-            if u == v:
-                raise ValueError(f"loop ({u},{u}) not allowed in SimpleDigraph")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcset)
-        object.__setattr__(self, "had_loop", bool(had_loop))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimpleDigraph is immutable")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SimpleDigraph):
-            return (self.n, self.arcs, self.had_loop) == (
-                other.n, other.arcs, other.had_loop)
+            return (self.n, self.arcs) == (other.n, other.arcs)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self.arcs, self.had_loop))
+        return hash((self.n, self.arcs))
 
     def __repr__(self):
         arcs = sorted(self.arcs)
@@ -124,16 +111,16 @@ class SimpleDigraph:
     # -- structural queries -------------------------------------------------
 
     def reverse(self) -> "SimpleDigraph":
-        return SimpleDigraph(self.n, ((v, u) for u, v in self.arcs),
-                             had_loop=self.had_loop)
+        return SimpleDigraph(self.n, ((v, u) for u, v in self.arcs))
 
     def is_acyclic(self) -> bool:
-        """Every strong component is a single vertex."""
-        return len(set(_strong_components(self))) == self.n
+        """No loop, and every strong component is a single vertex."""
+        return (all(u != v for u, v in self.arcs)
+                and len(set(_strong_components(self))) == self.n)
 
     def condense(self) -> "SimpleDigraph":
-        """Strong-component quotient: always acyclic, loops and duplicate
-        arcs created by the quotient removed.  Components are numbered by
+        """Strong-component quotient, always acyclic: loops, and duplicate
+        arcs the quotient creates, are removed.  Components are numbered by
         their least original vertex so the result is deterministic.
         """
         renum: dict[int, int] = {}
@@ -215,19 +202,11 @@ def _strong_components(d: SimpleDigraph) -> list[int]:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _collapse(n: int, arcs: list) -> SimpleDigraph:
-    """The simple digraph of a file's arcs: parallel arcs collapse into one,
-    which never changes any counter, and loops are dropped but recorded in
-    ``had_loop``, which makes the strict counter zero."""
-    return SimpleDigraph(n, [(u, v) for u, v in arcs if u != v],
-                         had_loop=any(u == v for u, v in arcs))
-
-
 def parse_digraph_text(text: str) -> SimpleDigraph:
     """Text format: first line "n <count>", then one arc "u v" per line.
 
-    Duplicate lines collapse into one arc and a loop only sets
-    ``had_loop``.  Blank lines and lines starting with '#' are ignored.
+    Duplicate lines collapse into one arc, which never changes a counter.
+    Blank lines and lines starting with '#' are ignored.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -252,15 +231,14 @@ def parse_digraph_text(text: str) -> SimpleDigraph:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"arc ({u},{v}) out of range for n={n}")
         arcs.append((u, v))
-    return _collapse(n, arcs)
+    return SimpleDigraph(n, arcs)
 
 
 def parse_digraph_json(data) -> SimpleDigraph:
     """JSON format: {"n": int, "arcs": [[u, v], ...]}, with "arcs" optional.
 
     "n" and every endpoint must be JSON integers (not booleans), and every
-    arc a two-element array.  Repeated arcs collapse into one and a loop
-    only sets ``had_loop``.
+    arc a two-element array.  Repeated arcs collapse into one.
     """
     if isinstance(data, (str, bytes)):
         import json
@@ -284,4 +262,4 @@ def parse_digraph_json(data) -> SimpleDigraph:
         u, v = arc
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"arc ({u},{v}) out of range for n={n}")
-    return _collapse(n, arcs)
+    return SimpleDigraph(n, arcs)

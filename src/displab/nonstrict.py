@@ -24,7 +24,7 @@ from typing import Iterable
 from .combinatorics import binomial, forward_differences
 from .counting import _PeelTable
 from .errors import SizeLimitError
-from .graph import SimpleDigraph, full_mask, iter_mask, mask_size
+from .graph import SimpleDigraph, iter_mask
 
 BRUTE_FORCE_BUDGET = 10_000_000
 CONDENSED_ORDER_LIMIT = 20
@@ -33,7 +33,7 @@ CONDENSED_ORDER_LIMIT = 20
 def nonstrict_bruteforce(d: SimpleDigraph, i: int) -> int:
     """Oracle: check all i^n maps directly.
 
-    Loops impose f(v) >= f(v), which always holds, so had_loop is ignored.
+    A loop asks f(v) >= f(v), which always holds.
     """
     if i < 0:
         raise ValueError("size must be nonnegative")
@@ -88,7 +88,7 @@ class NonStrictCounter(_PeelTable):
         diff = [0] * len(self.memo[0])
         sub = peelable & -peelable
         while sub:
-            add = operator.add if mask_size(sub) & 1 else operator.sub
+            add = operator.add if sub.bit_count() & 1 else operator.sub
             diff = list(map(add, diff, self._value(mask & ~sub)))
             sub = (sub - peelable) & peelable
         # Omega_S(0) = 0, and Omega_S(i) sums diff over 1 <= j <= i
@@ -125,7 +125,7 @@ def _scaled_values(d: SimpleDigraph, xs) -> tuple[int, list]:
             f"condensed order {cond.n} exceeds the cap {CONDENSED_ORDER_LIMIT}")
     m = cond.n
     weights = [c * math.perm(m, m - k) for k, c in enumerate(
-        forward_differences(NonStrictCounter(cond)._count(full_mask(m))))]
+        forward_differences(NonStrictCounter(cond)._count((1 << m) - 1)))]
     values = []
     for x in xs:
         acc = 0

@@ -6,7 +6,7 @@ from math import comb, factorial, gcd, prod
 from displab.algebra import (ONE, ZERO, Polynomial, binomial, laguerre,
                              monomial, multinomial, pochhammer)
 from displab.families import staircase_counter, two_row_counter
-from displab.graph import SimpleDigraph, _weak_components, full_mask, iter_mask
+from displab.graph import SimpleDigraph, _weak_components, iter_mask
 from displab.ode import Ode2, _step
 
 
@@ -109,7 +109,7 @@ def mask_from(vertices):
 def underlying_components(d):
     """Weak components of d as masks, ordered by least vertex."""
     nbr = [a | b for a, b in zip(d.out_masks(), d.in_masks())]
-    return _weak_components(nbr, full_mask(d.n))
+    return _weak_components(nbr, (1 << d.n) - 1)
 
 
 def induced_subgraph(d, keep):
@@ -122,40 +122,36 @@ def induced_subgraph(d, keep):
 
 def sinks_and_sources(d):
     """(sinks, sources) as masks: no out-arc, and no in-arc."""
-    return (full_mask(d.n) & ~mask_from(u for u, _ in d.arcs),
-            full_mask(d.n) & ~mask_from(v for _, v in d.arcs))
+    full = (1 << d.n) - 1
+    return (full & ~mask_from(u for u, _ in d.arcs),
+            full & ~mask_from(v for _, v in d.arcs))
 
 
 def attach_path(d, v, length, reverse=False):
     """d with v -> z1 -> ... -> z_length attached, reversed with `reverse`."""
     chain = [v, *range(d.n, d.n + length)]
     path = {(b, a) if reverse else (a, b) for a, b in zip(chain, chain[1:])}
-    return SimpleDigraph(d.n + length, d.arcs | path, had_loop=d.had_loop)
+    return SimpleDigraph(d.n + length, d.arcs | path)
 
 
 def tree_refusal(parents):
     """Oracle: None when the parent array encodes a rooted tree, that is,
     when it has exactly one root and each vertex's parent chain reaches
-    that root within n steps; otherwise the messages ``make_rooted_tree``
-    may refuse it with (one per self-parent, as any of them may be met
-    first)."""
+    that root within n steps; otherwise the message ``make_rooted_tree``
+    refuses it with.  A self-parent is a loop, and so a cycle."""
     n = len(parents)
     roots = [v for v, p in enumerate(parents) if p < 0]
     if len(roots) != 1:
-        return {"parent array must have exactly one root"}
+        return "parent array must have exactly one root"
     high = [p for p in parents if p >= n]
     if high:
-        return {f"parent {high[0]} out of range"}
-    loops = {f"loop ({v},{v}) not allowed in SimpleDigraph"
-             for v, p in enumerate(parents) if p == v}
-    if loops:
-        return loops
+        return f"parent {high[0]} out of range"
     root = roots[0]
     for v in range(n):
         for _ in range(n):
             v = root if v == root else parents[v]
         if v != root:
-            return {"parent array does not encode a tree"}
+            return "parent array does not encode a tree"
     return None
 
 

@@ -115,23 +115,16 @@ def test_int_options_are_ascii_decimals(capsys, argv, flag, value):
                        f"{flag}: invalid int value: {value!r}\n")
 
 
-@pytest.mark.parametrize("argv, env, message", [
-    (("series", "--kind", "exp:1_0", "--order", "2"), None,
+@pytest.mark.parametrize("argv, message", [
+    (("series", "--kind", "exp:1_0", "--order", "2"),
      "bad series kind 'exp:1_0': invalid literal for int() with base 10: "
      "'1_0'"),
-    (("ode", "--tworow", "２,３"), None,
+    (("ode", "--tworow", "２,３"),
      "bad --tworow '２,３'"),
-    (("companion", "--family", "path:3", "--vertex", "１"), None,
+    (("companion", "--family", "path:3", "--vertex", "１"),
      "unknown vertex '１'"),
-    (("count", "--family", "path:3"), "２",
-     "bad DISPLAB_MAX_ORDER value '２'"),
 ])
-def test_integers_in_cli_text_are_ascii_decimals(capsys, monkeypatch, argv,
-                                                 env, message):
-    if env is None:
-        monkeypatch.delenv("DISPLAB_MAX_ORDER", raising=False)
-    else:
-        monkeypatch.setenv("DISPLAB_MAX_ORDER", env)
+def test_integers_in_cli_text_are_ascii_decimals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -141,28 +134,19 @@ def test_size_cap_exit_code(capsys):
     assert code == 1 and "max-order" in err
 
 
-def test_max_order_flag_and_env(capsys, monkeypatch):
+def test_max_order_flag_and_env(capsys):
     code, out, _ = run(capsys, "count", "--family", "empty:30",
                        "--max-order", "40")
     assert code == 0 and out.strip() == str(265252859812191058636308480000000)
-    monkeypatch.setenv("DISPLAB_MAX_ORDER", "40")
-    code, out, _ = run(capsys, "count", "--family", "empty:30")
-    assert code == 0
-    monkeypatch.setenv("DISPLAB_MAX_ORDER", "10")
-    code, _, _ = run(capsys, "count", "--family", "empty:30")
-    assert code == 1
 
 
-def test_max_order_zero_is_a_cap_and_negative_exits_two(capsys, monkeypatch):
+def test_max_order_zero_is_a_cap_and_negative_exits_two(capsys):
     code, out, err = run(capsys, "count", "--family", "path:3",
                          "--max-order", "0")
     assert code == 1 and out == "" and "max-order" in err
     code, out, err = run(capsys, "count", "--family", "path:3",
                          "--max-order", "-1")
     assert code == 2 and out == "" and err.startswith("error:")
-    monkeypatch.setenv("DISPLAB_MAX_ORDER", "-1")
-    code, out, err = run(capsys, "count", "--family", "path:3")
-    assert code == 2 and out == "" and "DISPLAB_MAX_ORDER" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -90,12 +90,11 @@ class Hang(BaseException):
     """Raised by the watchdog; no handler in ``main`` catches it."""
 
 
-def test_boundary_sweep_exits_cleanly(capsys, monkeypatch):
+def test_boundary_sweep_exits_cleanly(capsys):
     def alarm(signum, frame):
         raise Hang
 
     assert sorted(int_options()) == sorted(CAPS)
-    monkeypatch.delenv("DISPLAB_MAX_ORDER", raising=False)
     previous = signal.signal(signal.SIGALRM, alarm)
     failures = []
     start = time.perf_counter()

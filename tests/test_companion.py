@@ -26,7 +26,7 @@ from displab.families import (build_family, make_empty, make_path,
                               make_rooted_tree,
                               make_staircase, make_star, make_two_row,
                               staircase_counter, two_row_counter)
-from displab.graph import SimpleDigraph, full_mask
+from displab.graph import SimpleDigraph
 from helpers import (antiderivative, attach_path, disjoint_union,
                      induced_subgraph, random_acyclic_digraph,
                      random_simple_digraph, random_tree_parents,
@@ -66,8 +66,8 @@ def test_counters_along_path_match_separate_counts():
         n = rng.randint(1, 7)
         d = random_simple_digraph(rng, n)
         if k % 4 == 0:
-            rng.randrange(n)  # the loop's vertex, which only had_loop keeps
-            d = SimpleDigraph(n, d.arcs, had_loop=True)
+            loop = rng.randrange(n)
+            d = SimpleDigraph(n, d.arcs | {(loop, loop)})
         v = rng.randrange(n)
         reverse = k % 2 == 1
         assert _companion(d, v, reverse, 2 * n).counters == tuple(
@@ -84,7 +84,7 @@ def test_counter_minus_one_convention():
     # index 1 is a sink: the convention gives the counter without it
     assert height_counts(d, 1)[0] == count(induced_subgraph(d, {0, 2}))
     # a loop anywhere leaves no disposition, so no counter either
-    looped = SimpleDigraph(3, [(0, 1)], had_loop=True)
+    looped = SimpleDigraph(3, [(0, 1), (2, 2)])
     assert height_counts(looped, 1)[0] == 0
 
 
@@ -244,7 +244,7 @@ def test_companion_dual_by_direct_source_recurrence():
     recurrence instead of delegating to the reversed digraph."""
     from displab.algebra import Polynomial as P
     from displab.counting import CounterTable
-    from displab.graph import full_mask, iter_mask
+    from displab.graph import iter_mask
 
     def dual_direct(d, v):
         table = CounterTable(d)
@@ -263,7 +263,7 @@ def test_companion_dual_by_direct_source_recurrence():
             memo[mask] = poly
             return poly
 
-        return comp(full_mask(d.n))
+        return comp((1 << d.n) - 1)
 
     rng = random.Random(47)
     for _ in range(25):
@@ -284,13 +284,12 @@ def test_height_counts_match_enumeration():
         else:
             d = random_acyclic_digraph(rng, n)
         if k % 5 == 0:
-            rng.randrange(n)  # the loop's vertex, which only had_loop keeps
-            d = SimpleDigraph(n, d.arcs, had_loop=True)
+            loop = rng.randrange(n)
+            d = SimpleDigraph(n, d.arcs | {(loop, loop)})
         v = rng.randrange(n)
         expected = [0] * n
-        if not d.had_loop:
-            for f in enumerate_dispositions(d):
-                expected[f[v] - 1] += 1
+        for f in enumerate_dispositions(d):
+            expected[f[v] - 1] += 1
         assert height_counts(d, v) == tuple(expected), (sorted(d.arcs), v)
 
 
@@ -317,7 +316,7 @@ def test_height_memo_states(spec, vertex, states):
     # one memo: counters of the masks without v, N of the masks with v
     d, labels = build_family(spec, 64)
     table = _HeightTable(d, labels[vertex])
-    table._count(full_mask(d.n))
+    table._count((1 << d.n) - 1)
     assert len(table.memo) == states
 
 

@@ -164,7 +164,7 @@ def test_make_rooted_tree_on_every_small_parent_array():
                 continue
             with pytest.raises(ValueError) as info:
                 make_rooted_tree(parents)
-            assert str(info.value) in refusal, parents
+            assert str(info.value) == refusal, parents
         # Cayley: n^(n-1) rooted trees on n labelled vertices
         assert accepted == (n ** (n - 1) if n else 0)
 

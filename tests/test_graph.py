@@ -8,7 +8,7 @@ import displab
 from displab.cli import main
 from displab.errors import ParseError
 from displab.families import make_empty, make_path, make_staircase
-from displab.graph import (SimpleDigraph, full_mask, iter_mask,
+from displab.graph import (SimpleDigraph, iter_mask,
                            parse_digraph_json, parse_digraph_text)
 from helpers import (attach_path, induced_subgraph, mask_from,
                      random_simple_digraph, sinks_and_sources,
@@ -18,13 +18,11 @@ from helpers import (attach_path, induced_subgraph, mask_from,
 def test_parse_text_collapses_repeated_lines():
     d = parse_digraph_text("n 2\n0 1\n0 1\n0 1\n")
     assert d.arcs == frozenset({(0, 1)})
-    assert not d.had_loop
 
 
-def test_parse_json_strips_loop_and_remembers():
+def test_parse_json_keeps_loop_as_arc():
     d = parse_digraph_json('{"n": 1, "arcs": [[0, 0], [0, 0]]}')
-    assert d.arcs == frozenset()
-    assert d.had_loop
+    assert d == SimpleDigraph(1, [(0, 0)])
 
 
 def test_parse_text_header_alone_is_empty():
@@ -53,7 +51,7 @@ def test_induced_path_prefix():
 
 def test_induced_identity():
     d = make_staircase(5)
-    assert induced_subgraph(d, full_mask(5)) == d
+    assert induced_subgraph(d, 0b11111) == d
 
 
 def test_staircase4_sink_removal_components():
@@ -82,13 +80,19 @@ def test_sinks_and_sources_staircase5():
 
 def test_sinks_and_sources_empty():
     sinks, sources = sinks_and_sources(make_empty(3))
-    assert sinks == sources == full_mask(3)
+    assert sinks == sources == 0b111
 
 
 def test_condense_two_cycle():
     d = SimpleDigraph(2, [(0, 1), (1, 0)])
     c = d.condense()
     assert c.n == 1 and not c.arcs
+
+
+def test_condense_drops_loops():
+    d = SimpleDigraph(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
+    assert d.reverse() == SimpleDigraph(3, [(0, 0), (1, 0), (2, 1), (2, 2)])
+    assert d.condense() == make_path(3)
 
 
 def test_condense_identity_on_dag():
@@ -136,7 +140,7 @@ def test_condense_matches_mutual_reachability():
 
 def test_components_empty_and_path():
     assert underlying_components(make_empty(3)) == [1, 2, 4]
-    assert underlying_components(make_path(4)) == [full_mask(4)]
+    assert underlying_components(make_path(4)) == [0b1111]
 
 
 def test_components_disjoint_union():
@@ -172,6 +176,7 @@ def test_attach_path_increments():
 def test_is_acyclic():
     assert make_path(5).is_acyclic()
     assert not SimpleDigraph(2, [(0, 1), (1, 0)]).is_acyclic()
+    assert not SimpleDigraph(2, [(0, 1), (1, 1)]).is_acyclic()
 
 
 def test_staircase6_acyclic_by_independent_toposort():
@@ -294,8 +299,8 @@ def test_structural_properties_random_corpus():
         for c in comps:
             assert union & c == 0
             union |= c
-        assert union == full_mask(d.n)
-        assert induced_subgraph(d, full_mask(d.n)) == d
+        assert union == (1 << d.n) - 1
+        assert induced_subgraph(d, (1 << d.n) - 1) == d
 
 
 def test_iter_mask_order():

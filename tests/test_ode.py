@@ -343,6 +343,24 @@ def test_two_row_ode_satisfied_by_companions():
                                   two_row_companion(n1, n2, 3)), (n1, n2, 3)
 
 
+def test_two_row_ode_is_the_elimination_of_the_companion():
+    """The closed-form equations are the ones the Laguerre-pair elimination
+    finds for the two-row companion, wherever they do not vanish."""
+    vanishing = {(0, 2, 2), (0, 3, 3), (1, 3, 3), (0, 4, 3)}
+    checked = 0
+    for r in (2, 3):
+        for n2 in range(r, 16):
+            for n1 in range(n2 + 1):
+                if (n1, n2, r) in vanishing:
+                    with pytest.raises(ValueError, match="vanishes"):
+                        two_row_ode(n1, n2, r)
+                    continue
+                assert two_row_ode(n1, n2, r) == laguerrean_reflected(
+                    two_row_companion(n1, n2, r)), (n1, n2, r)
+                checked += 1
+    assert checked == 259
+
+
 def test_two_row_ode_reduces_to_laguerre_at_zero_rows():
     for n2 in range(3, 9):
         assert two_row_ode(0, n2, 2).reflect() == laguerre_equation(n2 - 2)
