@@ -19,8 +19,7 @@ _EXPORTS = {
                   "staircase_data", "two_row_companion",
                   "two_row_decomposition"),
     "counting": ("count", "count_bruteforce", "enumerate_dispositions"),
-    "errors": ("CapExceededError", "DisplabError", "ParseError",
-               "SizeLimitError"),
+    "errors": ("DisplabError", "ParseError", "SizeLimitError"),
     "extremal": ("SearchReport", "iso_check", "max_counter_search"),
     "families": ("DispositionalSpec", "make_dispositional", "make_empty",
                  "make_path", "make_qary_level", "make_rooted_tree",

@@ -177,19 +177,10 @@ class Polynomial:
 
     def __call__(self, x) -> Fraction:
         """The value at a rational x, by Horner's rule on the numerators."""
-        if type(x) is int:
-            acc = 0
-            for c in reversed(self.num):
-                acc = acc * x + c
-            return Fraction(acc, self.den)
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        # acc = sum c_i p^i q^(d-i) = q^d den value, d = deg self
-        acc, scale = 0, 1
+        acc = 0
         for c in reversed(self.num):
-            acc = acc * p + c * scale
-            scale *= q
-        return Fraction(acc * q, self.den * scale)
+            acc = acc * x + c
+        return Fraction(acc, self.den)
 
     def compose_neg(self) -> "Polynomial":
         """p(-X)."""
@@ -243,7 +234,7 @@ class Polynomial:
     def from_json(cls, data: Sequence[str]) -> "Polynomial":
         return cls(parse_rational(str(c)) for c in data)
 
-    def pretty(self, var: str = "X") -> str:
+    def pretty(self) -> str:
         """Human form, highest degree first: ``1/2·X^3 + 11/2·X^2 + 13·X + 5``."""
         if self.is_zero():
             return "0"
@@ -256,9 +247,9 @@ class Polynomial:
             if i == 0:
                 term = mag
             elif i == 1:
-                term = f"{mag}·{var}" if abs(c) != 1 else var
+                term = f"{mag}·X" if abs(c) != 1 else "X"
             else:
-                term = f"{mag}·{var}^{i}" if abs(c) != 1 else f"{var}^{i}"
+                term = f"{mag}·X^{i}" if abs(c) != 1 else f"X^{i}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
@@ -443,8 +434,8 @@ ONE = Polynomial((1,))
 X = Polynomial((0, 1))
 
 
-def monomial(degree: int, coeff=1) -> Polynomial:
-    return Polynomial([0] * degree + [coeff])
+def monomial(degree: int) -> Polynomial:
+    return Polynomial([0] * degree + [1])
 
 
 # ---------------------------------------------------------------------------

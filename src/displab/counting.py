@@ -38,13 +38,12 @@ from __future__ import annotations
 from itertools import permutations
 
 from .combinatorics import multinomial
-from .errors import CapExceededError, SizeLimitError
+from .errors import SizeLimitError
 from .graph import (SimpleDigraph, _weak_components, check_mask_limit,
                     iter_mask)
 
 BRUTE_FORCE_LIMIT = 9
 ENUMERATION_ORDER_LIMIT = 12
-DEFAULT_ENUMERATION_CAP = 100_000
 # new memo states each try of a component may add: a random 63-vertex DAG
 # that needs more refuses within about 2 s and 21 MB, or 4.5 s at arc
 # probability 0.04 (2-vCPU Xeon VM, CPython 3.11)
@@ -54,9 +53,10 @@ STATE_LIMIT = 1 << 15
 def _layers(blocked: list[int], mask: int):
     """The sizes of the peel layers of mask, u peelable once blocked[u]
     misses what is left: the peelable vertices, then those peelable once
-    they are gone, and so on."""
-    while mask:
-        layer = sum(1 << u for u in iter_mask(mask) if blocked[u] & mask == 0)
+    they are gone, and so on, up to a subset with none: the empty set, or
+    one holding a loop or a directed cycle."""
+    while layer := sum(1 << u for u in iter_mask(mask)
+                       if blocked[u] & mask == 0):
         yield layer.bit_count()
         mask ^= layer
 
@@ -177,7 +177,7 @@ def count_bruteforce(d: SimpleDigraph) -> int:
 
 
 def enumerate_dispositions(d: SimpleDigraph,
-                           cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
+                           cap: int) -> list[tuple[int, ...]]:
     """All dispositions, built by peeling maximum points.
 
     The vertex receiving the largest remaining value must be a source of the
@@ -189,7 +189,7 @@ def enumerate_dispositions(d: SimpleDigraph,
             f"disposition enumeration is capped at {ENUMERATION_ORDER_LIMIT} vertices")
     total = count(d)
     if total > cap:
-        raise CapExceededError(
+        raise SizeLimitError(
             f"digraph has {total} dispositions, more than the cap {cap}")
     if total == 0:
         return []

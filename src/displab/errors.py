@@ -11,11 +11,8 @@ class ParseError(DisplabError):
 
 
 class SizeLimitError(DisplabError):
-    """Input exceeds a hard size cap of the requested algorithm."""
-
-
-class CapExceededError(DisplabError):
-    """An enumeration would produce more objects than the configured cap."""
+    """Input exceeds a hard size cap of the requested algorithm, or an
+    enumeration would produce more objects than its cap."""
 
 
 def _decimal(text: str) -> int:

@@ -104,17 +104,11 @@ def make_empty(n: int) -> SimpleDigraph:
     return SimpleDigraph(n, ())
 
 
-def make_star(n: int, center_out: bool = True) -> SimpleDigraph:
-    """Star digraph: vertex 0 joined to n-1 leaves.
-
-    ``center_out`` orients the arcs away from the center (the counter is the
-    same either way, by reverse invariance).
-    """
+def make_star(n: int) -> SimpleDigraph:
+    """Star digraph: arcs from vertex 0 to each of n-1 leaves."""
     if n < 1:
         raise ValueError("star needs at least the center")
-    if center_out:
-        return SimpleDigraph(n, ((0, i) for i in range(1, n)))
-    return SimpleDigraph(n, ((i, 0) for i in range(1, n)))
+    return SimpleDigraph(n, ((0, i) for i in range(1, n)))
 
 
 def make_staircase(n: int) -> SimpleDigraph:
@@ -216,7 +210,7 @@ _BY_ORDER = {"path": make_path, "empty": make_empty, "star": make_star,
              "staircase": make_staircase}
 
 
-def build_family(text: str, max_order: int | None = None
+def build_family(text: str, max_order: int
                  ) -> tuple[SimpleDigraph, dict[str, int]]:
     """Parse a family string and return (digraph, vertex labels).
 
@@ -239,7 +233,7 @@ def build_family(text: str, max_order: int | None = None
             return make_two_row(n1, n2), two_row_labels(n1, n2)
         if name == "qary":
             q, level = (_decimal(x) for x in arg.split(","))
-            if q >= 2 and max_order is not None:
+            if q >= 2:
                 # sum the levels only until they pass the cap
                 order = 0
                 for m in range(level):

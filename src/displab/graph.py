@@ -26,17 +26,17 @@ def iter_mask(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def check_mask_limit(n: int, what: str = "subset-memoized operation") -> None:
+def check_mask_limit(n: int, what: str) -> None:
     if n > MASK_VERTEX_LIMIT:
         raise SizeLimitError(
             f"{what} supports at most {MASK_VERTEX_LIMIT} vertices, got {n}"
         )
 
 
-def check_order(order: int, max_order: int | None, more: bool = False) -> None:
+def check_order(order: int, max_order: int, more: bool = False) -> None:
     """Refuse a digraph of `order` vertices (at least that many, with
-    `more`) above the CLI's order cap; None means no cap."""
-    if max_order is not None and order > max_order:
+    `more`) above the CLI's order cap."""
+    if order > max_order:
         size = f"at least {order}" if more else order
         raise SizeLimitError(
             f"digraph order {size} exceeds --max-order {max_order}")
@@ -70,7 +70,7 @@ class SimpleDigraph:
 
     __slots__ = ("n", "arcs")
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         _check_count(n)
         arcset = frozenset((u, v) for u, v in arcs)
         for u, v in arcset:

@@ -37,8 +37,7 @@ class Ode2:
 
     __slots__ = ("u", "v", "w")
 
-    def __init__(self, u, v, w):
-        u, v, w = _as_polynomial(u), _as_polynomial(v), _as_polynomial(w)
+    def __init__(self, u: Polynomial, v: Polynomial, w: Polynomial):
         if u.is_zero() and v.is_zero() and w.is_zero():
             raise ValueError("U, V, W cannot all be zero")
         g = _triple_gcd(u, v, w)
@@ -104,12 +103,6 @@ class Ode2:
         return out + " = 0"
 
 
-def _as_polynomial(p) -> Polynomial:
-    if isinstance(p, Polynomial):
-        return p
-    return Polynomial(p.coeffs if hasattr(p, "coeffs") else p)
-
-
 def _triple_gcd(u, v, w) -> Polynomial:
     g = ZERO
     for p in (u, v, w):
@@ -160,12 +153,10 @@ def _scaled_basis_coefficients(p: Polynomial, n: int) -> list[int]:
             for i in range(n + 1)]
 
 
-def laguerre_basis_decompose(p: Polynomial, n: int | None = None) -> tuple[Fraction, ...]:
+def laguerre_basis_decompose(p: Polynomial, n: int) -> tuple[Fraction, ...]:
     """Unique coefficients (c_0..c_n) with p = sum c_i X^i d^i L_n(X)."""
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    if n is None:
-        n = p.degree
     if p.degree > n:
         raise ValueError(f"degree {p.degree} exceeds basis index {n}")
     scale = math.factorial(n) * p.den
@@ -319,7 +310,7 @@ def two_row_ode(n1: int, n2: int, r: int) -> Ode2:
     return Ode2(u, v, w)
 
 
-def catalan_ode(n: int, r: int = 2) -> Ode2:
+def catalan_ode(n: int, r: int) -> Ode2:
     """The equal-rows case n1 = n2 = n of :func:`two_row_ode`."""
     if r not in (2, 3):
         raise ValueError("simplified equations exist for r in {2, 3} only")

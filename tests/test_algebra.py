@@ -257,7 +257,7 @@ def test_series_derivative_and_truncate():
 
 
 def test_monomial():
-    assert monomial(3, 2) == Polynomial((0, 0, 0, 2))
+    assert monomial(3) == Polynomial((0, 0, 0, 1))
 
 
 # -- the integer representation ---------------------------------------------

@@ -134,7 +134,7 @@ def test_size_cap_exit_code(capsys):
     assert code == 1 and "max-order" in err
 
 
-def test_max_order_flag_and_env(capsys):
+def test_max_order_flag(capsys):
     code, out, _ = run(capsys, "count", "--family", "empty:30",
                        "--max-order", "40")
     assert code == 0 and out.strip() == str(265252859812191058636308480000000)
@@ -465,16 +465,27 @@ print(sum(t.is_alive() for t in threads), len(seen), bad)
     (["families", "--spec", "path:1"], ("fractions", "decimal")),
     (["nonstrict", "--family", "path:3", "--max-size", "4"],
      ("json", "fractions", "decimal", "displab.algebra")),
-    (["ode", "--catalan", "3"], ("displab.companion", "displab.counting",
-                                 "displab.families", "displab.graph")),
+    (["ode", "--catalan", "3"], ("json", "displab.companion",
+                                 "displab.counting", "displab.families",
+                                 "displab.graph")),
     (["ode", "--tworow", "2,3"], ("displab.companion", "displab.counting",
                                   "displab.families", "displab.graph")),
     (["ode", "--laguerre", "3"], ("displab.companion", "displab.counting",
                                   "displab.families", "displab.graph")),
-    (["gram", "--laguerre", "3"], ("displab.companion", "displab.counting",
-                                   "displab.families", "displab.graph")),
+    (["gram", "--laguerre", "3"], ("json", "displab.companion",
+                                   "displab.counting", "displab.families",
+                                   "displab.graph")),
+    (["dispositions", "--family", "path:3"], ("fractions", "decimal")),
+    (["extremal", "--order", "4"], ("fractions", "decimal")),
+    (["count", "--file", "FILE"], ("json",)),
+    (["nonstrict", "--file", "FILE"], ("json",)),
+    (["companion", "--family", "path:3", "--vertex", "v1"], ("json",)),
 ])
-def test_integer_paths_load_no_json_or_fractions(argv, unused):
+def test_integer_paths_load_no_json_or_fractions(argv, unused, tmp_path):
+    # FILE is a digraph in the text format
+    path = tmp_path / "d.txt"
+    path.write_text("n 3\n0 1\n1 2\n")
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
     out = fresh_python(f"""
 import sys
 at_start = set(sys.modules)
@@ -490,6 +501,12 @@ print([m for m in {unused!r} if m in sys.modules and m not in at_start])
     ["families", "--spec", "path:1"],
     ["extremal", "--order", "4"],
     ["nonstrict", "--family", "path:3", "--max-size", "4"],
+    ["dispositions", "--family", "path:3"],
+    ["companion", "--family", "path:3", "--vertex", "v1"],
+    ["ode", "--staircase", "4"],
+    ["gram", "--catalan", "3"],
+    ["series", "--kind", "exp:2"],
+    ["paper-tables"],
 ])
 def test_well_formed_commands_load_no_argparse(argv):
     out = fresh_python(f"""

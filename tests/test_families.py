@@ -215,7 +215,7 @@ def test_two_row_counter_vs_count():
 
 def test_star_orientations():
     assert count(make_star(5)) == 24
-    assert count(make_star(5, center_out=False)) == 24
+    assert count(make_star(5).reverse()) == 24
 
 
 def test_family_constructors_match_counters_small():
@@ -254,14 +254,14 @@ def test_dispositional_spec_takes_only_ints(rows):
 
 
 def test_build_family_strings():
-    d, labels = build_family("staircase:5")
+    d, labels = build_family("staircase:5", 20)
     assert d == make_staircase(5) and labels["v1"] == 0
-    d, labels = build_family("tworow:2,3")
+    d, labels = build_family("tworow:2,3", 20)
     assert d == make_two_row(2, 3) and labels["v2"] == 3
-    d, _ = build_family("dispositional:2,0;2,-1")
+    d, _ = build_family("dispositional:2,0;2,-1", 20)
     assert d == make_staircase(4)
-    d, _ = build_family("tree:-1,0,0,1")
+    d, _ = build_family("tree:-1,0,0,1", 20)
     assert d.n == 4
     for bad in ("unknown:3", "tworow:2", "staircase:x", "tworow"):
         with pytest.raises(ParseError):
-            build_family(bad)
+            build_family(bad, 20)
