@@ -14,7 +14,9 @@ the recursive decomposition of Kangas, Hankala, Niinimaki and Koivisto
 
 ``_PeelTable`` is this recursion for every kind of value it computes: the
 counter here, the height distribution in ``companion`` and the order
-polynomial in ``nonstrict``.
+polynomial in ``nonstrict``.  The row-grid search in ``extremal`` counts
+on it too, with sinks found by shifts and each set keyed by its
+translate at bit 0.
 
 Which side visits fewer subsets depends on the digraph: a star whose
 leaves are sinks needs 2^(n-1) states peeling sinks, and n peeling
@@ -50,13 +52,16 @@ ENUMERATION_ORDER_LIMIT = 12
 STATE_LIMIT = 1 << 15
 
 
+def _peelable(blocked: list[int], mask: int) -> int:
+    """The vertices u of mask that may be peeled: blocked[u] misses mask."""
+    return sum(1 << u for u in iter_mask(mask) if blocked[u] & mask == 0)
+
+
 def _layers(blocked: list[int], mask: int):
-    """The sizes of the peel layers of mask, u peelable once blocked[u]
-    misses what is left: the peelable vertices, then those peelable once
-    they are gone, and so on, up to a subset with none: the empty set, or
-    one holding a loop or a directed cycle."""
-    while layer := sum(1 << u for u in iter_mask(mask)
-                       if blocked[u] & mask == 0):
+    """The sizes of the peel layers of mask: the peelable vertices, then
+    those peelable once they are gone, and so on, up to a subset with none:
+    the empty set, or one holding a loop or a directed cycle."""
+    while layer := _peelable(blocked, mask):
         yield layer.bit_count()
         mask ^= layer
 

@@ -9,7 +9,8 @@ rows), so the enumeration is finite without losing any connected spec:
 
 The certified statement: over all connected specs of order m the counter
 maxes out exactly at the zigzag number s_m, attained only by digraphs
-isomorphic to the zigzag or its reverse.
+isomorphic to the zigzag or its reverse.  The grids are counted on the
+subset kernel of ``counting`` (``_PeelTable``), under its state budget.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
-from .combinatorics import multinomial
+from . import counting
 from .errors import SizeLimitError
 from .families import DispositionalSpec
 from .graph import SimpleDigraph
@@ -63,19 +64,25 @@ def enumerate_connected_dispositional(m: int) -> Iterator[DispositionalSpec]:
         yield DispositionalSpec(rows)
 
 
-def _row_grids(m: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
-    """The rows of each connected spec of order m, with its cell mask.
-
-    Cell (r, c), in row r and absolute column c, is bit r*(m+1) + c + m:
-    a connected grid of m cells occupies at most m consecutive columns,
-    all in [-(m-1), m-1], so bit b+1 is the cell right of b and bit b+m+1
-    the cell below it, whenever those bits are in the grid.
-    """
+def _check_order(m: int) -> None:
     if m < 1:
         raise ValueError(f"order must be at least 1, got {m}")
     if m > SEARCH_ORDER_LIMIT:
         raise SizeLimitError(
             f"dispositional enumeration is capped at order {SEARCH_ORDER_LIMIT}")
+
+
+def _row_grids(m: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """The rows of each connected spec of order m, with its cell mask.
+
+    Cell (r, c), in row r and absolute column c, is bit r*(m+1) + c.  A
+    connected grid of m cells occupies at most m consecutive columns, all
+    in [-(m-1), m-1], and row 0 starts at column 0, so cell (0, 0) is the
+    lowest bit, bit 0, every bit is below m*(m+1), and bit b+1 is the cell
+    right of b and bit b+m+1 the cell below it, whenever those bits are in
+    the grid.
+    """
+    _check_order(m)
     step = m + 1
     for lengths in _compositions(m):
         windows = [range(1 - lengths[i], lengths[i - 1])
@@ -83,83 +90,70 @@ def _row_grids(m: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
         for shifts in product(*windows):
             shifts = (0,) + shifts
             cells = 0
-            start = m
+            start = 0
             for r, (a, b) in enumerate(zip(lengths, shifts)):
                 start += b
                 cells |= ((1 << a) - 1) << (r * step + start)
             yield tuple(zip(lengths, shifts)), cells
 
 
-class _GridCounter:
-    """The counter of row-grid cell sets of one order m (see _row_grids).
+class _GridCounter(counting.CounterTable):
+    """The counter of the row-grid cell sets of one order m (see _row_grids).
 
     Arcs run from each cell to the cells right of it and below it, so the
-    sinks of a set S are S & ~(S >> 1) & ~(S >> (m+1)).  The counter of a
-    connected set does not change under translation, so the memo is keyed
-    by the set shifted down to bit 0 and serves every grid of one search.
+    sinks of a set S are S & ~(S >> 1) & ~(S >> (m+1)), and the subset
+    kernel needs no digraph, only neighbour masks for its component split.
+    The counter of a set does not change under translation, so the memo
+    holds each set shifted down to bit 0 and serves every grid of one
+    search: every grid holds bit 0, and ``_join`` shifts each component.
     """
 
     def __init__(self, m: int):
-        self.step = m + 1
-        # a single cell counts 1
-        self.memo: dict[int, int] = {1: 1}
+        self.step = step = m + 1
+        self._nbr = [c << 1 | c >> 1 | c << step | c >> step
+                     for c in (1 << b for b in range(m * step))]
+        self._left = counting.STATE_LIMIT
+        self.memo = {0: 1}
 
-    def sigma(self, cells: int) -> int:
-        """Counter of a cell set: the multinomial of its weak components'
-        sizes times their counters."""
-        step = self.step
-        comps = []
-        rest = cells
-        while rest:
-            comp = rest & -rest
-            while True:
-                grown = (comp | comp << 1 | comp >> 1 | comp << step
-                         | comp >> step) & rest
-                if grown == comp:
-                    break
-                comp = grown
-            comps.append(comp)
-            rest ^= comp
-        if len(comps) == 1:
-            return self.connected(cells)
-        total = multinomial(c.bit_count() for c in comps)
-        for c in comps:
-            total *= self.connected(c)
-        return total
+    def _join(self, mask: int, comps: list[int]) -> int:
+        return super()._join(
+            mask, [c >> (c & -c).bit_length() - 1 for c in comps])
 
-    def connected(self, cells: int) -> int:
-        """Counter of a nonempty connected cell set: the sum over its sinks
-        of the counter left after deleting the sink."""
-        key = cells >> ((cells & -cells).bit_length() - 1)
-        got = self.memo.get(key)
-        if got is None:
-            step = self.step
-            got = 0
-            sinks = key & ~(key >> 1) & ~(key >> step)
-            while sinks:
-                low = sinks & -sinks
-                sinks ^= low
-                rest = key ^ low
+    def _peel(self, mask: int) -> int:
+        # mask holds bit 0, a cell with no neighbour left of it or above
+        # it; so it is a sink only when alone, and every child holds bit 0
+        # too, or is empty, and needs no shift
+        step, memo = self.step, self.memo
+        total = 0
+        sinks = mask & ~(mask >> 1) & ~(mask >> step)
+        while sinks:
+            low = sinks & -sinks
+            sinks ^= low
+            rest = mask ^ low
+            got = memo.get(rest)
+            if got is None:
                 # the set stays connected when the sink had one neighbour,
                 # or two (left and above) joined by the cell above-left
                 near = rest & (low >> 1 | low >> step)
-                if near & (near - 1) and not rest & (low >> (step + 1)):
-                    got += self.sigma(rest)
-                else:
-                    got += self.connected(rest)
-            self.memo[key] = got
-        return got
+                got = self._value(rest, not near & (near - 1)
+                                  or rest & low >> step + 1)
+            total += got
+        return total
 
 
 def max_counter_search(m: int) -> SearchReport:
-    """Maximize the counter over all connected specs of order m."""
+    """Maximize the counter over all connected specs of order m; each grid
+    may add STATE_LIMIT new states, as each component may in ``count``."""
+    _check_order(m)
     grid = _GridCounter(m)
     best = 0
     argmax = []
     total = 0
+    limit = counting.STATE_LIMIT
     for rows, cells in _row_grids(m):
         total += 1
-        value = grid.connected(cells)
+        grid._left = limit
+        value = grid._value(cells, True)
         if value > best:
             best = value
             argmax = []

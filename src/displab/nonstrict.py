@@ -22,9 +22,9 @@ from itertools import accumulate, product
 from typing import Iterable
 
 from .combinatorics import binomial, forward_differences
-from .counting import _PeelTable
+from .counting import _PeelTable, _peelable
 from .errors import SizeLimitError
-from .graph import SimpleDigraph, iter_mask
+from .graph import SimpleDigraph
 
 BRUTE_FORCE_BUDGET = 10_000_000
 CONDENSED_ORDER_LIMIT = 20
@@ -81,8 +81,7 @@ class NonStrictCounter(_PeelTable):
         return tuple(map(math.prod, zip(*values)))
 
     def _peel(self, mask: int) -> tuple[int, ...]:
-        peelable = sum(1 << u for u in iter_mask(mask)
-                       if self._blocked[u] & mask == 0)
+        peelable = _peelable(self._blocked, mask)
         # diff[j] is the inner sum over nonempty T at size j; the subsets T
         # come one at a time, so a try out of states stops at once
         diff = [0] * len(self.memo[0])

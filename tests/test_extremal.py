@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from displab import counting
 from displab.counting import count
 from displab.errors import SizeLimitError
 from displab.extremal import (_GridCounter, _row_grids,
@@ -47,14 +48,34 @@ def test_enumerate_size_cap():
         list(enumerate_connected_dispositional(12))
 
 
+def _grid_states(grid, m):
+    """Memo states of grid, the empty set aside, once every grid of order m
+    is counted."""
+    for _, cells in _row_grids(m):
+        grid._value(cells, True)
+    return len(grid.memo) - 1
+
+
 def test_grid_counter_matches_count():
     for m in range(1, 9):
         grid = _GridCounter(m)
         for rows, cells in _row_grids(m):
             d = make_dispositional(DispositionalSpec(rows))
-            assert grid.connected(cells) == count(d), rows
-    # every translate of a connected grid shares one memo entry
-    assert len(grid.memo) == 2931
+            assert grid._value(cells, True) == count(d), rows
+    # every translate of a connected set shares one memo entry
+    assert len(grid.memo) - 1 == 2931
+    assert _grid_states(_GridCounter(9), 9) == 9397
+    assert _grid_states(_GridCounter(10), 10) == 30124
+
+
+def test_search_charges_each_grid_to_the_budget(monkeypatch):
+    # the first grid of order 6 is a column of 6 cells, and no grid adds
+    # more new states than that, though the search adds 285 in all
+    monkeypatch.setattr(counting, "STATE_LIMIT", 6)
+    assert max_counter_search(6).max_counter == staircase_counter(6)
+    monkeypatch.setattr(counting, "STATE_LIMIT", 5)
+    with pytest.raises(SizeLimitError):
+        max_counter_search(6)
 
 
 def _cells(spec):

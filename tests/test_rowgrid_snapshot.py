@@ -39,6 +39,12 @@ SNAPSHOT = [
     ('extremal --order 9',
      '6e6da32917089b8ea12f6d638ed0b0473bd03a95bc32b3818b9d337d73626ad2',
      0, ''),
+    ('extremal --order 10',
+     'd98dae48fbba253ab060629a21b284abd61592cad0a18e88448339fc73986194',
+     0, ''),
+    ('extremal --order 11',
+     'abd6fa459960c0b7f659ab4d79e2cf04bea1bbe0989f665b436af3e8db4d8125',
+     0, ''),
     ('families --spec dispositional:3,0;3,-1',
      '86602b68ee3b6c0fdeae0023887bfb030003c26a7317f7ad12e682e2a937be1e',
      0, ''),
