@@ -56,8 +56,6 @@ def _at_most(value: int, most: int, option: str) -> None:
 
 
 def _max_order(args) -> int:
-    if args.max_order is None:
-        return DEFAULT_MAX_ORDER
     _at_least(args.max_order, 0, "--max-order")
     return args.max_order
 
@@ -417,9 +415,9 @@ def _cmd_paper_tables(args) -> int:
 
 _FAMILY_HELP = "family string such as staircase:7 or tworow:2,3"
 _FILE_HELP = "digraph file (text edge list or JSON)"
-_MAX_ORDER = ("--max-order", {"type": _int, "default": None,
+_MAX_ORDER = ("--max-order", {"type": _int, "default": DEFAULT_MAX_ORDER,
                               "help": "refuse digraphs larger than this "
-                                      "(default 20)"})
+                                      f"(default {DEFAULT_MAX_ORDER})"})
 _DIGRAPH = (("--family", {"help": _FAMILY_HELP}),
             ("--file", {"help": _FILE_HELP}),
             _MAX_ORDER)
@@ -499,7 +497,7 @@ COMMANDS = {
     "families": (
         "build a named digraph family",
         (("--spec", {"required": True, "help": "family string"}),
-         ("--max-order", {"type": _int, "default": None})),
+         ("--max-order", {"type": _int, "default": DEFAULT_MAX_ORDER})),
         _cmd_families),
     "paper-tables": ("recompute the reference tables and diff against the "
                      "checked-in fixtures", (), _cmd_paper_tables),

@@ -41,11 +41,12 @@ from itertools import permutations
 
 from .combinatorics import multinomial
 from .errors import SizeLimitError
-from .graph import (SimpleDigraph, _weak_components, check_mask_limit,
-                    iter_mask)
+from .graph import SimpleDigraph, _weak_components, iter_mask
 
 BRUTE_FORCE_LIMIT = 9
 ENUMERATION_ORDER_LIMIT = 12
+# vertices of the largest digraph a subset table takes
+MASK_VERTEX_LIMIT = 63
 # new memo states each try of a component may add: a random 63-vertex DAG
 # that needs more refuses within about 2 s and 21 MB, or 4.5 s at arc
 # probability 0.04 (2-vCPU Xeon VM, CPython 3.11)
@@ -73,18 +74,28 @@ class _PeelTable:
     ``memo`` maps the empty set to the value a subclass passes in, and
     every connected subset visited to its value.  ``_value`` hands a
     disconnected subset and its weak components to the subclass's
-    ``_join``; a connected subset costs one state of the budget and gets
-    its value from the subclass's ``_peel``.
+    ``_join``; a connected subset costs one state of the budget that
+    ``_try`` sets, and gets its value from the subclass's ``_peel``.
+    A digraph of more than MASK_VERTEX_LIMIT vertices is refused.
     """
 
     def __init__(self, d: SimpleDigraph, empty):
+        if d.n > MASK_VERTEX_LIMIT:
+            raise SizeLimitError(
+                "subset-memoized counting supports at most "
+                f"{MASK_VERTEX_LIMIT} vertices, got {d.n}")
         self.out = d.out_masks()
         self._inc = d.in_masks()
         self._nbr = [a | b for a, b in zip(self.out, self._inc)]
         # a vertex u of subset S may be peeled when blocked[u] & S == 0
         self._blocked = self.out
-        self._left = STATE_LIMIT
         self.memo: dict = {0: empty}
+
+    def _try(self, mask: int):
+        """The value of the connected mask, adding at most STATE_LIMIT
+        new states."""
+        self._left = STATE_LIMIT
+        return self._value(mask, True)
 
     def _value(self, mask: int, connected: bool = False):
         """The value of mask; ``connected`` skips the component search."""
@@ -98,8 +109,7 @@ class _PeelTable:
         self._left -= 1
         if self._left < 0:
             raise SizeLimitError(
-                f"counting needs more than {STATE_LIMIT} subset "
-                "states peeling either sinks or sources")
+                f"counting needs more than {STATE_LIMIT} new subset states")
         value = self._peel(mask)
         self.memo[mask] = value
         return value
@@ -122,26 +132,24 @@ class _PeelTable:
         for comp in _weak_components(self._nbr, mask):
             first, second = sorted((self.out, self._inc),
                                    key=lambda side: [*_layers(side, comp)])
-            self._blocked, self._left = first, STATE_LIMIT
+            self._blocked = first
             try:
-                self._value(comp, True)
+                self._try(comp)
             except SizeLimitError:
-                self._blocked, self._left = second, STATE_LIMIT
-                self._value(comp, True)
+                self._blocked = second
+                self._try(comp)
         return self._value(mask)
 
 
 class CounterTable(_PeelTable):
     """Memoized sigma over vertex subsets of one fixed acyclic digraph.
 
-    ``sigma(mask)`` is the counter of the subgraph induced by ``mask``; on
-    its own it peels sinks, and refuses past STATE_LIMIT new states.  The
-    table is confined to a single counting call; the empty set counts 1
-    (the void disposition).
+    ``memo`` maps each connected subset visited to the counter of the
+    subgraph it induces, and the empty set to 1 (the void disposition).
+    The table is confined to a single counting call.
     """
 
     def __init__(self, d: SimpleDigraph):
-        check_mask_limit(d.n, "subset-memoized counting")
         super().__init__(d, 1)
 
     def _join(self, mask: int, comps: list[int]) -> int:
@@ -164,7 +172,6 @@ def count(d: SimpleDigraph) -> int:
     """
     if not d.is_acyclic():
         return 0
-    check_mask_limit(d.n, "count")
     return CounterTable(d)._count((1 << d.n) - 1)
 
 

@@ -112,7 +112,6 @@ class _GridCounter(counting.CounterTable):
         self.step = step = m + 1
         self._nbr = [c << 1 | c >> 1 | c << step | c >> step
                      for c in (1 << b for b in range(m * step))]
-        self._left = counting.STATE_LIMIT
         self.memo = {0: 1}
 
     def _join(self, mask: int, comps: list[int]) -> int:
@@ -143,17 +142,15 @@ class _GridCounter(counting.CounterTable):
 
 def max_counter_search(m: int) -> SearchReport:
     """Maximize the counter over all connected specs of order m; each grid
-    may add STATE_LIMIT new states, as each component may in ``count``."""
+    is one try of the subset kernel, as each component is in ``count``."""
     _check_order(m)
     grid = _GridCounter(m)
     best = 0
     argmax = []
     total = 0
-    limit = counting.STATE_LIMIT
     for rows, cells in _row_grids(m):
         total += 1
-        grid._left = limit
-        value = grid._value(cells, True)
+        value = grid._try(cells)
         if value > best:
             best = value
             argmax = []

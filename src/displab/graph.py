@@ -1,8 +1,7 @@
 """Digraph values and the structural queries every counting routine uses.
 
 Vertices are dense 0-based indices.  Vertex subsets travel as int bitmasks,
-which is what makes the subset-memoized counters cheap; algorithms that key
-on subsets refuse digraphs with more than 63 vertices.
+which is what makes the subset-memoized counters cheap.
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import ParseError, SizeLimitError, _decimal
-
-MASK_VERTEX_LIMIT = 63
 
 
 # ---------------------------------------------------------------------------
@@ -24,13 +21,6 @@ def iter_mask(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def check_mask_limit(n: int, what: str) -> None:
-    if n > MASK_VERTEX_LIMIT:
-        raise SizeLimitError(
-            f"{what} supports at most {MASK_VERTEX_LIMIT} vertices, got {n}"
-        )
 
 
 def check_order(order: int, max_order: int, more: bool = False) -> None:

@@ -17,6 +17,7 @@ no default.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -171,3 +172,13 @@ def test_every_default_is_set_and_left_by_some_caller():
     assert not unused, ("defaults that no CLI path, benchmark or acceptance "
                         "test both sets and leaves: " + ", ".join(unused))
     assert kept <= defined, kept - defined
+
+
+def test_sources_parse_at_the_requires_python_floor():
+    # feature_version refuses grammar newer than the floor, such as except*
+    # (3.11) or type parameter lists (3.12)
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text())
+    version = tuple(map(int, floor.groups()))
+    for path in sorted((ROOT / "src" / "displab").glob("*.py")):
+        ast.parse(path.read_text(), path.name, feature_version=version)

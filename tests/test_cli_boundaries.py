@@ -15,7 +15,7 @@ import pytest
 from displab import cli
 from displab.cli import COMMANDS, _int, main
 from displab.extremal import SEARCH_ORDER_LIMIT
-from displab.graph import MASK_VERTEX_LIMIT
+from displab.counting import MASK_VERTEX_LIMIT
 
 # the cap of each integer option, or None where the option has none
 CAPS = {

@@ -259,7 +259,7 @@ def test_companion_dual_by_direct_source_recurrence():
                 if w != v and inc[w] & mask == 0:
                     sub = comp(mask & ~(1 << w))
                     deriv = deriv + sub + sub.derivative()
-            poly = antiderivative(deriv, table._value(mask))
+            poly = antiderivative(deriv, table._count(mask))
             memo[mask] = poly
             return poly
 

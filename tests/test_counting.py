@@ -11,7 +11,7 @@ import pytest
 from displab.algebra import multinomial
 from displab import counting
 from displab.cli import main
-from displab.companion import _HeightTable
+from displab.companion import _HeightTable, height_counts
 from displab.counting import (CounterTable, count, count_bruteforce,
                               enumerate_dispositions)
 from displab.errors import SizeLimitError
@@ -100,15 +100,20 @@ def test_count_order_zero_is_one():
     assert count(make_empty(0)) == 1
 
 
-def test_count_size_cap():
-    with pytest.raises(SizeLimitError):
-        count(make_empty(64))
+@pytest.mark.parametrize("table", [
+    count, lambda d: height_counts(d, 0), NonStrictCounter],
+    ids=["count", "height_counts", "NonStrictCounter"])
+def test_every_subset_table_refuses_past_the_mask_cap(table):
+    # one check, in the kernel, for the strict, height and non-strict tables
+    with pytest.raises(SizeLimitError, match="^subset-memoized counting "
+                       "supports at most 63 vertices, got 64$"):
+        table(make_path(64))
 
 
 def test_counter_table_conventions():
     d = make_staircase(4)
     table = CounterTable(d)
-    assert table._value(0b1111) == 5
+    assert table._try(0b1111) == 5
     assert table.memo[0] == 1
 
 
@@ -239,7 +244,7 @@ def test_sink_vs_source_recursion():
     rng = random.Random(23)
     for _ in range(60):
         d = random_simple_digraph(rng, rng.randint(1, 7))
-        assert count_by_peeling(d, sources=True) == CounterTable(d)._value(
+        assert count_by_peeling(d, sources=True) == CounterTable(d)._try(
             (1 << d.n) - 1)
 
 
@@ -253,7 +258,7 @@ def test_component_law():
             expected *= count(induced_subgraph(d, c))
         assert count(d) == expected
         # whole-graph recursion without factorization agrees
-        assert CounterTable(d)._value((1 << d.n) - 1) == count(d)
+        assert CounterTable(d)._try((1 << d.n) - 1) == count(d)
 
 
 def test_positivity_iff_acyclic():
@@ -338,7 +343,7 @@ def test_other_side_finishes_when_the_chosen_side_runs_out(monkeypatch):
         *counting._layers(table._inc, full)]
     monkeypatch.setattr(counting, "STATE_LIMIT", 16)
     with pytest.raises(SizeLimitError):
-        CounterTable(d)._value(full)
+        CounterTable(d)._try(full)
     table = CounterTable(d)
     assert table._count(full) == count_bruteforce(d)
     assert table._blocked is table._inc
@@ -367,7 +372,8 @@ def test_state_cap_refuses(tmp_path, capsys, monkeypatch):
     d = random_acyclic_digraph(random.Random(33), 30, 0.2)
     assert len(peeled_table(d).memo) > 64
     monkeypatch.setattr(counting, "STATE_LIMIT", 16)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError,
+                       match="^counting needs more than 16 new subset states$"):
         count(d)
     path = tmp_path / "dag.json"
     path.write_text(json.dumps(d.to_json()))

@@ -52,7 +52,7 @@ def _grid_states(grid, m):
     """Memo states of grid, the empty set aside, once every grid of order m
     is counted."""
     for _, cells in _row_grids(m):
-        grid._value(cells, True)
+        grid._try(cells)
     return len(grid.memo) - 1
 
 
@@ -61,7 +61,7 @@ def test_grid_counter_matches_count():
         grid = _GridCounter(m)
         for rows, cells in _row_grids(m):
             d = make_dispositional(DispositionalSpec(rows))
-            assert grid._value(cells, True) == count(d), rows
+            assert grid._try(cells) == count(d), rows
     # every translate of a connected set shares one memo entry
     assert len(grid.memo) - 1 == 2931
     assert _grid_states(_GridCounter(9), 9) == 9397
@@ -74,7 +74,8 @@ def test_search_charges_each_grid_to_the_budget(monkeypatch):
     monkeypatch.setattr(counting, "STATE_LIMIT", 6)
     assert max_counter_search(6).max_counter == staircase_counter(6)
     monkeypatch.setattr(counting, "STATE_LIMIT", 5)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError,
+                       match="^counting needs more than 5 new subset states$"):
         max_counter_search(6)
 
 

@@ -164,7 +164,7 @@ def test_star_sink_peel_lists_no_subsets_ahead(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError):
-            table._value((1 << 20) - 1)
+            table._try((1 << 20) - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
