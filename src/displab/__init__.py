@@ -9,8 +9,8 @@ import importlib
 
 # public names, grouped by the submodule that defines them
 _EXPORTS = {
-    "algebra": ("Polynomial", "RationalFunction", "TruncatedSeries",
-                "generalized_laguerre", "laguerre", "pochhammer"),
+    "algebra": ("Polynomial", "TruncatedSeries", "generalized_laguerre",
+                "laguerre", "pochhammer"),
     "combinatorics": ("binomial", "multinomial"),
     "companion": ("CompanionResult", "StaircaseData", "TwoRowDecomposition",
                   "catalan_polynomial", "catalan_polynomial_r3",

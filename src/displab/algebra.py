@@ -1,4 +1,4 @@
-"""Exact arithmetic: rationals, dense polynomials, rational functions, series.
+"""Exact arithmetic: rationals, dense polynomials and truncated series.
 
 Everything in this module is exact.  Rationals are ``fractions.Fraction``;
 a polynomial is a dense tuple of integer numerators over one common
@@ -443,88 +443,12 @@ def monomial(degree: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 class RationalFunction:
-    """Quotient of polynomials, kept reduced with a monic denominator."""
+    """A name with no arithmetic: no library code builds one.
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = ZERO, ONE
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead = den.leading()
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den * (1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (Polynomial, int, Fraction)):
-            return self == RationalFunction(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __add__(self, other) -> "RationalFunction":
-        other = _as_rf(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-_as_rf(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return _as_rf(other) - self
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _as_rf(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _as_rf(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-
-def _as_rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction(value)
+    ``bench/tracer.py`` patches this class to count its constructions
+    (``algebra.rf_new``, 0 on every workload); delete it together with
+    that metric (ROADMAP item 6).
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +478,6 @@ class TruncatedSeries:
             raise IndexError(f"series only known through order {self.order}")
         return self.coeffs[i]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
             return self.coeffs == other.coeffs
@@ -569,18 +488,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            self.coeffs[i] + other.coeffs[i] for i in range(n + 1)
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            self.coeffs[i] - other.coeffs[i] for i in range(n + 1)
-        )
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
@@ -594,14 +501,6 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
-
-    def derivative(self) -> "TruncatedSeries":
-        """Termwise derivative; the truncation order drops by one."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries(
-            (i + 1) * self.coeffs[i + 1] for i in range(self.order)
-        )
 
 
 def poly_to_series(p: Polynomial, order: int) -> TruncatedSeries:

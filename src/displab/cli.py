@@ -153,14 +153,13 @@ def _cmd_dispositions(args) -> int:
 
 
 def _cmd_companion(args) -> int:
-    from .companion import companion_by_heights, companion_from_counters
+    from .companion import companion_from_counters
 
     d, labels = _digraph_from_args(args)
     v = _resolve_vertex(args.vertex, labels, d.n)
+    result = companion_from_counters(d, v, reverse=args.dual)
     if args.route == "recurrence":
-        result = companion_by_heights(d, v, reverse=args.dual)
-    else:
-        result = companion_from_counters(d, v, reverse=args.dual)
+        result = result._replace(counters=result.counters[:d.n])
     if args.format == "json":
         _emit(_json(result.to_json()))
     else:

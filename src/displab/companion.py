@@ -113,12 +113,6 @@ def companion_from_counters(d: SimpleDigraph, v: int,
     return _companion(d, v, reverse, 2 * d.n - 1)
 
 
-def companion_by_heights(d: SimpleDigraph, v: int,
-                         reverse: bool = False) -> CompanionResult:
-    """Companion polynomial and counters sigma(G_0..G_{n-1}) from N."""
-    return _companion(d, v, reverse, d.n - 1)
-
-
 def _taylor_numerator(heights: Sequence[int], i: int) -> int:
     """i! T_i = sum_k N_k C(k-1, i); zero once i >= len(N)."""
     return sum(c * math.comb(k, i) for k, c in enumerate(heights) if c)
@@ -160,7 +154,7 @@ def _companion(d: SimpleDigraph, v: int, reverse: bool,
 
 def companion_by_recurrence(d: SimpleDigraph, v: int) -> Polynomial:
     """Companion polynomial from the height distribution of v."""
-    return companion_by_heights(d, v).poly
+    return companion_from_counters(d, v).poly
 
 
 # ---------------------------------------------------------------------------

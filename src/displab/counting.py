@@ -26,10 +26,12 @@ so ``_count`` peels each weak component of its input from one side, read
 off the component's layers.  Peeling sinks strips the sinks, then the
 sinks of what is left, and so on; the sizes of these layers are the
 side's profile, and a wide early layer leaves many partly peeled subsets.
-The side with the lexicographically smaller profile goes first, sinks on
-a tie.  Only if it needs more than STATE_LIMIT new states does the other
-side get a try, under a fresh STATE_LIMIT.  The memo is shared between
-the tries, because an entry is right whichever side computed it.
+The side with the lexicographically smaller profile goes first; on a tie,
+the one with the smaller sequence of layer masks, so that a digraph and
+its reversal peel mirrored sides.  Only if it needs more than STATE_LIMIT
+new states does the other side get a try, under a fresh STATE_LIMIT.  The
+memo is shared between the tries, because an entry is right whichever
+side computed it.
 Counting linear extensions is #P-complete (Brightwell and Winkler, 1991),
 so a component that needs more than STATE_LIMIT new states on both sides
 refuses with SizeLimitError.
@@ -59,11 +61,11 @@ def _peelable(blocked: list[int], mask: int) -> int:
 
 
 def _layers(blocked: list[int], mask: int):
-    """The sizes of the peel layers of mask: the peelable vertices, then
+    """(size, mask) of each peel layer of mask: the peelable vertices, then
     those peelable once they are gone, and so on, up to a subset with none:
     the empty set, or one holding a loop or a directed cycle."""
     while layer := _peelable(blocked, mask):
-        yield layer.bit_count()
+        yield layer.bit_count(), layer
         mask ^= layer
 
 
@@ -127,11 +129,14 @@ class _PeelTable:
 
     def _count(self, mask: int):
         """The value of mask.  Each weak component peels the side with the
-        smaller layer profile, sinks on a tie, and the other side only if
-        the first needs more than STATE_LIMIT new states."""
+        smaller layer profile, ties broken by the layer masks, and the
+        other side only if the first needs more than STATE_LIMIT new
+        states."""
         for comp in _weak_components(self._nbr, mask):
-            first, second = sorted((self.out, self._inc),
-                                   key=lambda side: [*_layers(side, comp)])
+            # the key is [sizes, masks]
+            first, second = sorted(
+                (self.out, self._inc),
+                key=lambda side: [*zip(*_layers(side, comp))])
             self._blocked = first
             try:
                 self._try(comp)

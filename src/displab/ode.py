@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import (Polynomial, TruncatedSeries, X, ZERO, pochhammer,
-                      poly_to_series)
+from .algebra import Polynomial, TruncatedSeries, X, ZERO, pochhammer
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +114,29 @@ def laguerre_equation(n: int) -> Ode2:
     return Ode2(X, Polynomial((1, -1)), Polynomial((n,)))
 
 
+def _residual(ode: Ode2, p: Polynomial) -> Polynomial:
+    """U p'' + V p' + W p."""
+    dp = p.derivative()
+    return ode.u * dp.derivative() + ode.v * dp + ode.w * p
+
+
 def verify_ode(ode: Ode2, p: Polynomial) -> bool:
     """Exact check that U p'' + V p' + W p vanishes identically."""
-    residual = ode.u * p.derivative().derivative() + ode.v * p.derivative() + ode.w * p
-    return residual.is_zero()
+    return _residual(ode, p).is_zero()
 
 
 def verify_ode_on_series(ode: Ode2, s: TruncatedSeries,
                          inhomogeneous: Polynomial = ZERO) -> bool:
-    """Check U s'' + V s' + W s + inhomogeneous = 0 through order N-2."""
+    """Check U s'' + V s' + W s + inhomogeneous = 0 through order N-2.
+
+    The X^k coefficient of the residual of the polynomial
+    s_0 + ... + s_N X^N reads no coefficient of s past X^(k+2), so it is
+    the series' own coefficient for every k <= N-2.
+    """
     if s.order < 4:
         raise ValueError("series order must be at least 4")
-    n = s.order - 2
-    res = poly_to_series(ode.u, n) * s.derivative().derivative()
-    res = res + poly_to_series(ode.v, n) * s.derivative().truncate(n)
-    res = res + poly_to_series(ode.w, n) * s.truncate(n)
-    res = res + poly_to_series(inhomogeneous, n)
-    return all(c == 0 for c in res.coeffs)
+    res = _residual(ode, Polynomial(s.coeffs)) + inhomogeneous
+    return not any(res.num[:s.order - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from displab.algebra import (Polynomial, RationalFunction, TruncatedSeries,
-                             bessel_i_series, binomial, exp_series,
-                             format_rational, generalized_laguerre, laguerre,
-                             monomial, multinomial, parse_rational, pochhammer,
-                             poly_to_series, series_from_counters, X)
+from displab.algebra import (Polynomial, TruncatedSeries, bessel_i_series,
+                             binomial, exp_series, format_rational,
+                             generalized_laguerre, laguerre, monomial,
+                             multinomial, parse_rational, pochhammer,
+                             series_from_counters, X)
 from helpers import antiderivative, content_normalized
 
 
@@ -144,29 +144,6 @@ def test_rational_strings():
         parse_rational("nope")
 
 
-# -- rational functions -----------------------------------------------------
-
-def test_rational_function_reduction():
-    rf = RationalFunction(Polynomial((0, 2)), Polynomial((0, 0, 2)))
-    assert rf.num == Polynomial((1,)) and rf.den == X
-
-
-def test_rational_function_arithmetic():
-    rng = random.Random(4)
-    for _ in range(25):
-        a = RationalFunction(rand_poly(rng, 3), rand_poly(rng, 2, zero_ok=False))
-        b = RationalFunction(rand_poly(rng, 3), rand_poly(rng, 2, zero_ok=False))
-        assert (a + b) - b == a
-        if not b.is_zero():
-            assert (a * b) / b == a
-
-
-def test_rational_function_derivative():
-    rf = RationalFunction(Polynomial((1,)), X)       # 1/X
-    assert rf.derivative() == RationalFunction(Polynomial((-1,)),
-                                               Polynomial((0, 0, 1)))
-
-
 # -- Laguerre polynomials ---------------------------------------------------
 
 def test_laguerre_small():
@@ -245,15 +222,6 @@ def test_series_ring_laws_at_fixed_truncation():
         c = TruncatedSeries(rng.randint(-5, 5) for _ in range(n + 1))
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-
-
-def test_series_derivative_and_truncate():
-    s = poly_to_series(Polynomial((1, 2, 3)), 5)
-    assert s.derivative().coeffs[:2] == (2, 6)
-    assert s.truncate(2).order == 2
-    with pytest.raises(ValueError):
-        s.truncate(9)
 
 
 def test_monomial():

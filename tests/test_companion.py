@@ -1,5 +1,6 @@
 """Companion polynomials: both computation routes and the printed data."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,8 +14,7 @@ from displab.algebra import (Polynomial, TruncatedSeries, binomial,
 from displab import counting
 from displab.cli import main
 from displab.companion import (CompanionResult, _HeightTable, _companion,
-                               _two_row_heights, companion_by_heights,
-                               companion_by_recurrence,
+                               _two_row_heights, companion_by_recurrence,
                                companion_from_counters, height_counts,
                                catalan_polynomial, catalan_polynomial_r3,
                                generalized_zigzag, staircase_companion,
@@ -224,16 +224,16 @@ def test_tabloidal_characterizations_of_laguerre():
 def test_companion_dual():
     # v1 is the maximum point of the path
     d = make_path(2)
-    assert companion_by_heights(d, 0, reverse=True).poly == Polynomial((1,))
+    assert companion_from_counters(d, 0, reverse=True).poly == Polynomial((1,))
     for n in range(1, 5):
         e = make_empty(n)
-        assert (companion_by_heights(e, 0, reverse=True).poly
+        assert (companion_from_counters(e, 0, reverse=True).poly
                 == companion_by_recurrence(e, 0))
     rng = random.Random(46)
     for _ in range(25):
         d = random_acyclic_digraph(rng, rng.randint(1, 6))
         v = rng.randrange(d.n)
-        dual = companion_by_heights(d, v, reverse=True).poly
+        dual = companion_from_counters(d, v, reverse=True).poly
         assert dual(0) == count(d)
         # reversed-path attachment is the same polynomial
         assert companion_from_counters(d, v, reverse=True).poly == dual
@@ -269,7 +269,7 @@ def test_companion_dual_by_direct_source_recurrence():
     for _ in range(25):
         d = random_acyclic_digraph(rng, rng.randint(1, 6))
         v = rng.randrange(d.n)
-        assert (companion_by_heights(d, v, reverse=True).poly
+        assert (companion_from_counters(d, v, reverse=True).poly
                 == dual_direct(d, v))
 
 
@@ -330,18 +330,25 @@ def test_companion_closed_forms_on_stars_of_forty():
     assert companion_by_recurrence(out_star, 0) == at_center
     assert companion_by_recurrence(out_star, 1) == at_leaf
     in_star = make_star(40).reverse()
-    assert companion_by_heights(in_star, 0, reverse=True).poly == at_center
-    assert companion_by_heights(in_star, 1, reverse=True).poly == at_leaf
+    assert companion_from_counters(in_star, 0, reverse=True).poly == at_center
+    assert companion_from_counters(in_star, 1, reverse=True).poly == at_leaf
 
 
-def test_routes_agree_on_star_of_twenty_one():
-    # both routes read one height distribution, so they agree at any size
-    for d in (make_star(21), make_star(21).reverse()):
-        for v in (0, 1):
-            assert (companion_by_recurrence(d, v)
-                    == companion_from_counters(d, v).poly)
-            assert (companion_by_heights(d, v, reverse=True).poly
-                    == companion_from_counters(d, v, reverse=True).poly)
+def test_routes_agree_on_star_of_twenty_one(capsys):
+    # both routes read one result; the recurrence route keeps the first n
+    # counters of the counters route
+    for vertex in ("v1", "v2"):
+        for dual in ((), ("--dual",)):
+            argv = ["companion", "--family", "star:21", "--vertex", vertex,
+                    "--format", "json", "--max-order", "21", *dual]
+            outs = []
+            for route in ("counters", "recurrence"):
+                assert main([*argv, "--route", route]) == 0
+                outs.append(json.loads(capsys.readouterr().out))
+            full, short = outs
+            assert short["poly"] == full["poly"]
+            assert short["counters"] == full["counters"][:21]
+            assert len(full["counters"]) == 42
 
 
 def test_height_state_cap_refuses(capsys, monkeypatch):

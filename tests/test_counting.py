@@ -339,8 +339,8 @@ def test_other_side_finishes_when_the_chosen_side_runs_out(monkeypatch):
     d = random_acyclic_digraph(random.Random(13), 9, 0.3)
     full = (1 << d.n) - 1
     table = CounterTable(d)
-    assert [*counting._layers(table.out, full)] < [
-        *counting._layers(table._inc, full)]
+    assert [size for size, _ in counting._layers(table.out, full)] < [
+        size for size, _ in counting._layers(table._inc, full)]
     monkeypatch.setattr(counting, "STATE_LIMIT", 16)
     with pytest.raises(SizeLimitError):
         CounterTable(d)._try(full)
@@ -350,22 +350,16 @@ def test_other_side_finishes_when_the_chosen_side_runs_out(monkeypatch):
 
 
 def test_reversal_mirrors_the_peel():
-    # reversal swaps the two layer profiles of each component, so it peels
-    # the mirrored side and fills as many states; only a tie, which goes
-    # to sinks either way, can peel the two the same way round
+    # reversal swaps the two sides' layers of each component, so it peels
+    # the mirrored side and fills as many states, ties of the layer
+    # profiles included
     rng = random.Random(35)
-    mirrored = 0
     for _ in range(40):
         d = disjoint_union(*(random_acyclic_digraph(rng, rng.randint(4, 14))
                              for _ in range(3)))
         table, reverse = peeled_table(d), peeled_table(d.reverse())
         assert count(d) == count(d.reverse())
-        if all([*counting._layers(table.out, c)]
-               != [*counting._layers(table._inc, c)]
-               for c in underlying_components(d) if c.bit_count() > 2):
-            mirrored += 1
-            assert len(table.memo) == len(reverse.memo)
-    assert mirrored >= 25
+        assert len(table.memo) == len(reverse.memo), d
 
 
 def test_state_cap_refuses(tmp_path, capsys, monkeypatch):

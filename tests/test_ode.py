@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from displab.algebra import (Polynomial, X, laguerre, monomial, exp_series,
-                             bessel_i_series, poly_to_series)
+from displab.algebra import (Polynomial, TruncatedSeries, X, ZERO, laguerre,
+                             monomial, exp_series, bessel_i_series,
+                             poly_to_series)
 from displab.companion import (catalan_polynomial, catalan_polynomial_r3,
                                staircase_companion, two_row_companion)
 from displab.families import make_empty
@@ -412,6 +413,22 @@ def test_series_ode_general_family():
                Polynomial((-m * m, -n, n * n - k * k)))
     series = exp_series(n, 14) * bessel_i_series(m, k, 14)
     assert verify_ode_on_series(ode, series)
+
+
+def test_series_ode_sees_each_checked_coefficient():
+    # the non-strict path equation, with and without its right-hand side;
+    # the residual through X^(N-2) reads every coefficient through X^(N-2)
+    ode = Ode2(X, Polynomial((1, -4)), Polynomial((-2,)))
+    for series, rhs in ((nonstrict_path_series(14), Polynomial((1,))),
+                        (exp_series(2, 14) * bessel_i_series(0, 2, 14), ZERO)):
+        coeffs = series.coeffs
+        for k in range(series.order - 1):
+            changed = TruncatedSeries(
+                coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1:])
+            assert not verify_ode_on_series(ode, changed, rhs), k
+        for order in range(4, series.order):
+            assert verify_ode_on_series(
+                ode, TruncatedSeries(coeffs[:order + 1]), rhs), order
 
 
 def test_series_ode_rejects_short_series():
