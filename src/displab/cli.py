@@ -21,7 +21,9 @@ from .errors import DisplabError, ParseError, SizeLimitError, _decimal
 
 DEFAULT_MAX_ORDER = 20
 # the largest accepted `gram --catalan/--laguerre N` (`gram --catalan 100`
-# takes about 0.7 s), `ode --staircase N` (150 takes about 0.5-0.7 s and
+# takes about 0.7 s) and `ode --catalan N`, twice it the largest
+# `ode --tworow n1,n2` order n1 + n2 (`--tworow 0,200` and `--catalan 100`
+# take about 0.1 s), `ode --staircase N` (150 takes about 0.5-0.7 s and
 # 17 MB, nearly all in `laguerrean`), `nonstrict --max-size N`,
 # `families --spec` order (`path:100000` takes about 1 s and 64 MB),
 # `series --order` (past it every kind but exp:0 has a coefficient too long
@@ -177,12 +179,15 @@ def _cmd_ode(args) -> int:
         raise ParseError(
             "give exactly one of --catalan, --tworow, --staircase, --laguerre")
     if args.catalan is not None:
+        _at_most(args.catalan, GRAM_SIZE_LIMIT, "--catalan")
         ode = catalan_ode(args.catalan, args.r)
     elif args.tworow is not None:
         try:
             n1, n2 = (_int(x) for x in args.tworow.split(","))
         except ValueError as exc:
             raise ParseError(f"bad --tworow {args.tworow!r}") from exc
+        if 0 <= n1 <= n2:  # a malformed pair is refused as such first
+            _at_most(n1 + n2, 2 * GRAM_SIZE_LIMIT, "--tworow order")
         ode = two_row_ode(n1, n2, args.r)
     elif args.staircase is not None:
         from .companion import staircase_companion

@@ -109,8 +109,15 @@ class CompanionResult(NamedTuple):
 
 def companion_from_counters(d: SimpleDigraph, v: int,
                             reverse: bool = False) -> CompanionResult:
-    """Companion polynomial and counters sigma(G_0..G_{2n-1}) from N."""
-    return _companion(d, v, reverse, 2 * d.n - 1)
+    """Companion polynomial and counters sigma(G_0..G_{2n-1}) from one
+    height distribution N, read backwards for reversed paths, since
+    reversal maps f to n + 1 - f.  With no vertex, v is out of range."""
+    heights = height_counts(d, v)
+    if reverse:
+        heights = heights[::-1]
+    counters = tuple(_attached_counter(heights, i) for i in range(2 * d.n))
+    return CompanionResult(_companion_poly(heights), counters, v,
+                           dual=reverse)
 
 
 def _taylor_numerator(heights: Sequence[int], i: int) -> int:
@@ -136,20 +143,6 @@ def _laguerre_weights(poly: Polynomial, m: int) -> tuple[Fraction, ...]:
     """(-1)^i c_i, where T(-X) = sum_i c_i X^i d^i L_m(X) for T = poly."""
     return tuple((-1) ** i * c for i, c in
                  enumerate(laguerre_basis_decompose(poly.compose_neg(), m)))
-
-
-def _companion(d: SimpleDigraph, v: int, reverse: bool,
-               horizon: int) -> CompanionResult:
-    """T and sigma(G_0..G_horizon) from one height distribution N, read
-    backwards for reversed paths, since reversal maps f to n + 1 - f.
-    With no vertex, v is out of range."""
-    heights = height_counts(d, v)
-    if reverse:
-        heights = heights[::-1]
-    poly = _companion_poly(heights)
-    counters = tuple(_attached_counter(heights, i)
-                     for i in range(horizon + 1))
-    return CompanionResult(poly, counters, v, dual=reverse)
 
 
 def companion_by_recurrence(d: SimpleDigraph, v: int) -> Polynomial:

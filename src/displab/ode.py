@@ -9,7 +9,10 @@ X L_n'' = -n L_n + (X - 1) L_n', expresses P, P', P'' in module
 coordinates.  Every denominator there is a power of X, so a coordinate
 pair is carried as two polynomials (a, b) over X^k and no rational
 function is ever normalized.  Eliminating L_n, L_n' by 2x2 minors
-produces an ODE U Y'' + V Y' + W Y = 0 satisfied by P.
+produces an ODE U Y'' + V Y' + W Y = 0 satisfied by P.  Every equation
+family here, the zigzag, two-row and Catalan ones alike, is this
+elimination at reflected argument; the paper's printed closed forms of
+the two-row equations are checked against it in the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import Polynomial, TruncatedSeries, X, ZERO, pochhammer
+from .algebra import Polynomial, TruncatedSeries, X, ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -71,20 +74,9 @@ class Ode2:
         return f"Ode2({self.u!r}, {self.v!r}, {self.w!r})"
 
     def reflect(self) -> "Ode2":
-        """The equation satisfied by Y(-X) whenever Y satisfies self.
-
-        X -> -X keeps the triple gcd-free and keeps its content, so only
-        the sign can need fixing.
-        """
-        u, v, w = (self.u.compose_neg(), -self.v.compose_neg(),
-                   self.w.compose_neg())
-        if next(p for p in (u, v, w) if not p.is_zero()).leading() < 0:
-            u, v, w = -u, -v, -w
-        ode = object.__new__(Ode2)
-        object.__setattr__(ode, "u", u)
-        object.__setattr__(ode, "v", v)
-        object.__setattr__(ode, "w", w)
-        return ode
+        """The equation satisfied by Y(-X) whenever Y satisfies self."""
+        return Ode2(self.u.compose_neg(), -self.v.compose_neg(),
+                    self.w.compose_neg())
 
     def to_json(self) -> dict:
         return {"U": self.u.to_json(), "V": self.v.to_json(),
@@ -246,73 +238,21 @@ def laguerrean_reflected(p: Polynomial) -> Ode2:
 
 
 # ---------------------------------------------------------------------------
-# closed-form equation families for the two-row digraphs
+# the equation families of the two-row digraphs
 # ---------------------------------------------------------------------------
 
 def two_row_ode(n1: int, n2: int, r: int) -> Ode2:
-    """Closed-form ODE satisfied by the two-row companion polynomial at v_r,
-    r in {2, 3}."""
+    """The ODE satisfied by the two-row companion polynomial at v_r,
+    r in {2, 3}: its laguerrean built at reflected argument."""
+    from .companion import two_row_companion  # companion imports ode
+
     if not (0 <= n1 <= n2):
         raise ValueError("need 0 <= n1 <= n2")
     if r not in (2, 3):
         raise ValueError("closed-form equations exist for r in {2, 3} only")
     if n2 < r:
         raise ValueError(f"r = {r} needs n2 >= {r}")
-    s = n1 + n2
-    if r == 2:
-        alpha = pochhammer(s - 2, 3) * pochhammer(s - 1, 2)
-        beta = n1 * (n2 + 1) * (n1**2 + n2**2 + n1 * n2 - 2 * n1 - n2)
-        gamma = pochhammer(s - 2, 3) * (
-            n1**3 + n2**3 + 3 * n1**2 * n2 + 3 * n1 * n2**2
-            - 3 * n1**2 - 3 * n2**2 - 7 * n1 * n2 + n1 + 2 * n2)
-        u = Polynomial((0, alpha, beta))
-        v = Polynomial((alpha, alpha, beta))
-        w = -Polynomial((gamma, (s - 2) * beta))
-    else:
-        alpha = pochhammer(s - 4, 5) * pochhammer(s - 3, 4)
-        beta = 2 * n1 * (n2 + 1) * (
-            n1**6 + 7 * n1**5 * (n2 - 2)
-            + n1**4 * (15 * n2**2 - 72 * n2 + 77)
-            + n1**3 * (16 * n2**3 - 119 * n2**2 + 279 * n2 - 208)
-            + n1**2 * (15 * n2**4 - 107 * n2**3 + 333 * n2**2 - 490 * n2 + 276)
-            + n1 * (7 * n2**5 - 67 * n2**4 + 227 * n2**3 - 384 * n2**2
-                    + 352 * n2 - 144)
-            + n2 * (n2**5 - 15 * n2**4 + 74 * n2**3 - 156 * n2**2
-                    + 144 * n2 - 48))
-        gamma = 2 * pochhammer(n1 - 1, 2) * pochhammer(n2, 2) * (s - 2) * (
-            -3 * n1 + n1**2 + (n2 - 1) * n2)
-        delta = 2 * n1 * (n2 + 1) * (
-            n1**6 + 7 * n1**5 * (n2 - 2)
-            + n1**4 * (15 * n2**2 - 73 * n2 + 77)
-            + n1**3 * (16 * n2**3 - 120 * n2**2 + 285 * n2 - 208)
-            + n1**2 * (15 * n2**4 - 108 * n2**3 + 338 * n2**2 - 501 * n2 + 276)
-            + n1 * (7 * n2**5 - 68 * n2**4 + 231 * n2**3 - 390 * n2**2
-                    + 358 * n2 - 144)
-            + n2 * (n2**5 - 15 * n2**4 + 75 * n2**3 - 159 * n2**2
-                    + 146 * n2 - 48))
-        epsilon = pochhammer(s - 4, 5) * (
-            6 * n1 - 29 * n1**2 + 27 * n1**3 - 9 * n1**4 + n1**5
-            + 18 * n2 - 78 * n1 * n2 + 91 * n1**2 * n2 - 38 * n1**3 * n2
-            + 5 * n1**4 * n2 - 39 * n2**2 + 97 * n1 * n2**2
-            - 60 * n1**2 * n2**2 + 10 * n1**3 * n2**2 + 29 * n2**3
-            - 38 * n1 * n2**3 + 10 * n1**2 * n2**3 - 9 * n2**4
-            + 5 * n1 * n2**4 + n2**5)
-        zeta = 2 * n1 * (n2 + 1) * (s - 4) * (
-            n1**6 + n1**5 * (7 * n2 - 13)
-            + n1**4 * (15 * n2**2 - 68 * n2 + 67)
-            + n1**3 * (16 * n2**3 - 114 * n2**2 + 249 * n2 - 171)
-            + n1**2 * (15 * n2**4 - 102 * n2**3 + 302 * n2**2 - 414 * n2 + 216)
-            + n1 * (7 * n2**5 - 63 * n2**4 + 203 * n2**3 - 327 * n2**2
-                    + 282 * n2 - 108)
-            + n2 * (n2**5 - 14 * n2**4 + 65 * n2**3 - 130 * n2**2
-                    + 114 * n2 - 36))
-        u = Polynomial((0, alpha, beta, gamma))
-        v = Polynomial((alpha, alpha, delta, gamma))
-        w = -Polynomial((epsilon, zeta, (s - 3) * gamma))
-    if u.is_zero() and v.is_zero() and w.is_zero():
-        raise ValueError(f"the closed-form two-row equation vanishes "
-                         f"identically at n1={n1}, n2={n2}, r={r}")
-    return Ode2(u, v, w)
+    return laguerrean_reflected(two_row_companion(n1, n2, r))
 
 
 def catalan_ode(n: int, r: int) -> Ode2:

@@ -23,7 +23,7 @@ CAPS = {
     ("dispositions", "--max-order"): MASK_VERTEX_LIMIT,
     ("dispositions", "--cap"): cli.DISPOSITIONS_CAP_LIMIT,
     ("companion", "--max-order"): MASK_VERTEX_LIMIT,
-    ("ode", "--catalan"): None,
+    ("ode", "--catalan"): cli.GRAM_SIZE_LIMIT,
     ("ode", "--staircase"): cli.STAIRCASE_ORDER_LIMIT,
     ("ode", "--laguerre"): None,
     ("ode", "--r"): 3,
@@ -45,6 +45,10 @@ CONTEXT = {
     "series": ["--kind", "exp:1"],
     "families": ["--spec", "path:1"],
 }
+
+# `ode --tworow n1,n2` pairs around the order cap n1 + n2 <= 200, with the
+# exit code of each; a malformed pair is refused as such first
+TWOROW_AT_CAP = (("100,100", 0), ("100,101", 1), ("0,201", 1), ("300,2", 2))
 
 LAX = ("５", "1_0", "+5", "６_３", " 3", "3 ", "٣")
 
@@ -78,6 +82,8 @@ def boundary_argvs():
             for family in family_specs(n):
                 yield [name, "--family", family, *context,
                        "--max-order", str(n)]
+    for pair, _ in TWOROW_AT_CAP:
+        yield ["ode", "--tworow", pair]
     for value in LAX:
         yield ["ode", "--tworow", f"{value},3"]
         yield ["companion", "--family", "path:3", "--vertex", value]
@@ -119,6 +125,17 @@ def test_boundary_sweep_exits_cleanly(capsys):
         signal.signal(signal.SIGALRM, previous)
     assert failures == []
     assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("pair, code", TWOROW_AT_CAP)
+def test_tworow_order_cap(capsys, pair, code):
+    assert main(["ode", "--tworow", pair]) == code
+    out = capsys.readouterr()
+    assert (out.out != "") == (code == 0)
+    if code == 1:
+        n1, n2 = map(int, pair.split(","))
+        assert out.err == (f"error: --tworow order {n1 + n2} exceeds "
+                           f"the cap 200\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,8 +13,9 @@ from displab.algebra import (Polynomial, TruncatedSeries, binomial,
                              series_from_counters)
 from displab import counting
 from displab.cli import main
-from displab.companion import (CompanionResult, _HeightTable, _companion,
-                               _two_row_heights, companion_by_recurrence,
+from displab.companion import (CompanionResult, _HeightTable,
+                               _attached_counter, _two_row_heights,
+                               companion_by_recurrence,
                                companion_from_counters, height_counts,
                                catalan_polynomial, catalan_polynomial_r3,
                                generalized_zigzag, staircase_companion,
@@ -38,17 +39,22 @@ from displab import golden
 
 # -- counters along the attached path ----------------------------------------
 
+def path_counters(heights, horizon):
+    """sigma(G_0..G_horizon), read off the height distribution N of v."""
+    return tuple(_attached_counter(heights, i) for i in range(horizon + 1))
+
+
 def test_counters_along_path_on_paths():
     for j in range(5):
         d = make_path(j + 1)
-        counters = _companion(d, 0, False, 6).counters
+        counters = path_counters(height_counts(d, 0), 6)
         assert counters == tuple(binomial(i + j, i) for i in range(7))
 
 
 def test_counters_along_path_on_empty():
     for j in range(4):
         d = make_empty(j + 1)
-        counters = _companion(d, 0, False, 5).counters
+        counters = path_counters(height_counts(d, 0), 5)
         expected = tuple(math.factorial(i + j + 1) // math.factorial(i + 1)
                          for i in range(6))
         assert counters == expected
@@ -56,7 +62,7 @@ def test_counters_along_path_on_empty():
 
 def test_counters_along_path_staircase2():
     d = make_staircase(2)
-    assert _companion(d, 0, False, 1).counters[1] == 2
+    assert path_counters(height_counts(d, 0), 1)[1] == 2
     assert count_bruteforce(attach_path(d, 0, 1)) == 2
 
 
@@ -70,9 +76,13 @@ def test_counters_along_path_match_separate_counts():
             d = SimpleDigraph(n, d.arcs | {(loop, loop)})
         v = rng.randrange(n)
         reverse = k % 2 == 1
-        assert _companion(d, v, reverse, 2 * n).counters == tuple(
-            count(attach_path(d, v, i, reverse=reverse))
-            for i in range(2 * n + 1))
+        expected = tuple(count(attach_path(d, v, i, reverse=reverse))
+                         for i in range(2 * n + 1))
+        # reversal maps f to n + 1 - f, so N reads backwards
+        heights = height_counts(d, v)[::-1 if reverse else 1]
+        assert path_counters(heights, 2 * n) == expected
+        assert (companion_from_counters(d, v, reverse).counters
+                == expected[:2 * n])
 
 
 def test_counter_minus_one_convention():
@@ -97,7 +107,7 @@ def test_counter_recurrence_identity_with_minus_one():
         v = rng.randrange(d.n)
         sinks, _ = sinks_and_sources(d)
         rest = (1 << d.n) - 1
-        counters = _companion(d, v, False, 4).counters
+        counters = path_counters(height_counts(d, v), 4)
         for j in range(5):
             prev = counters[j - 1] if j else height_counts(d, v)[0]
             total = prev
@@ -560,7 +570,7 @@ def test_staircase_companion_matches_recurrence_route():
         d = make_staircase(n)
         assert staircase_companion(n) == companion_by_recurrence(d, 0), n
         assert (tuple(staircase_path_counter(n, i) for i in range(2 * n))
-                == _companion(d, 0, False, 2 * n - 1).counters), n
+                == path_counters(height_counts(d, 0), 2 * n - 1)), n
 
 
 def test_staircase_path_counter_halving_identity():

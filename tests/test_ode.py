@@ -22,7 +22,8 @@ from displab.ode import (Ode2, catalan_ode, laguerre_basis_decompose,
 from displab import golden
 
 from helpers import (ab_reduction, catalan_ode_closed,
-                     decompose_by_triangular_solve, laguerre_basis_polys)
+                     decompose_by_triangular_solve, laguerre_basis_polys,
+                     two_row_ode_closed)
 
 
 def rand_poly(rng, max_deg):
@@ -72,8 +73,8 @@ def test_ode2_reflect_roundtrip():
 
 
 def test_ode2_reflect_equals_normalized_reflection():
-    # reflect skips the normalizing constructor; building the reflected
-    # triple through it must give the same coefficients
+    # reflecting a normalized equation and normalizing the reflected raw
+    # triple give the same coefficients, and reflection is an involution
     rng = random.Random(65)
     odes = [laguerrean(staircase_companion(n).compose_neg())
             for n in range(1, 21)]
@@ -315,7 +316,7 @@ def test_elimination_matches_expanded_formula_larger_degrees():
         assert laguerrean(p) == _qr_equation_expanded(p), p.to_json()
 
 
-# -- the closed-form equation families ------------------------------------------
+# -- the two-row and Catalan equation families ------------------------------------
 
 def test_two_row_ode_printed_2_3():
     assert two_row_ode(2, 3, 2) == golden_ode(golden.TWO_ROW_2_3_EQUATION)
@@ -327,26 +328,27 @@ def test_catalan_ode_printed():
 
 
 def test_catalan_ode_equals_two_row_ode_on_diagonal():
-    # the printed simplified forms are the equal-rows two-row equations
+    # the printed simplified forms are the equal-rows two-row forms, and
+    # the elimination finds them
     for r in (2, 3):
         for n in range(r, 201):
-            assert catalan_ode_closed(n, r) == two_row_ode(n, n, r), (n, r)
+            assert catalan_ode_closed(n, r) == two_row_ode_closed(n, n, r), (
+                n, r)
+        for n in range(r, 61):
+            assert catalan_ode(n, r) == catalan_ode_closed(n, r), (n, r)
 
 
 def test_two_row_ode_satisfied_by_companions():
-    for n1 in range(7):
-        for n2 in range(max(n1, 1), 7):
-            if n2 >= 2 and (n1, n2) != (0, 2):
-                assert verify_ode(two_row_ode(n1, n2, 2),
-                                  two_row_companion(n1, n2, 2)), (n1, n2, 2)
-            if n2 >= 3 and (n1, n2) not in ((0, 3), (0, 4), (1, 3)):
-                assert verify_ode(two_row_ode(n1, n2, 3),
-                                  two_row_companion(n1, n2, 3)), (n1, n2, 3)
+    for r in (2, 3):
+        for n2 in range(r, 7):
+            for n1 in range(n2 + 1):
+                assert verify_ode(two_row_ode(n1, n2, r),
+                                  two_row_companion(n1, n2, r)), (n1, n2, r)
 
 
 def test_two_row_ode_is_the_elimination_of_the_companion():
-    """The closed-form equations are the ones the Laguerre-pair elimination
-    finds for the two-row companion, wherever they do not vanish."""
+    """The elimination finds the printed closed forms wherever they do not
+    vanish, and an equation the companion satisfies where they do."""
     vanishing = {(0, 2, 2), (0, 3, 3), (1, 3, 3), (0, 4, 3)}
     checked = 0
     for r in (2, 3):
@@ -354,12 +356,27 @@ def test_two_row_ode_is_the_elimination_of_the_companion():
             for n1 in range(n2 + 1):
                 if (n1, n2, r) in vanishing:
                     with pytest.raises(ValueError, match="vanishes"):
-                        two_row_ode(n1, n2, r)
+                        two_row_ode_closed(n1, n2, r)
+                    assert verify_ode(two_row_ode(n1, n2, r),
+                                      two_row_companion(n1, n2, r))
                     continue
-                assert two_row_ode(n1, n2, r) == laguerrean_reflected(
-                    two_row_companion(n1, n2, r)), (n1, n2, r)
+                assert two_row_ode(n1, n2, r) == two_row_ode_closed(
+                    n1, n2, r), (n1, n2, r)
                 checked += 1
     assert checked == 259
+
+
+def test_two_row_ode_coefficients_have_small_degree():
+    # the paper's low-degree forms: deg U, deg V <= r and deg W <= r - 1
+    checked = 0
+    for r in (2, 3):
+        for n2 in range(r, 31):
+            for n1 in range(n2 + 1):
+                ode = two_row_ode(n1, n2, r)
+                assert (ode.u.degree <= r and ode.v.degree <= r
+                        and ode.w.degree <= r - 1), (n1, n2, r)
+                checked += 1
+    assert checked == 983
 
 
 def test_two_row_ode_reduces_to_laguerre_at_zero_rows():
