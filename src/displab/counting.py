@@ -29,11 +29,11 @@ side's profile, and a wide early layer leaves many partly peeled subsets.
 The side with the lexicographically smaller profile goes first; on a tie,
 the one with the smaller sequence of layer masks, so that a digraph and
 its reversal peel mirrored sides.  Only if it needs more than STATE_LIMIT
-new states does the other side get a try, under a fresh STATE_LIMIT.  The
-memo is shared between the tries, because an entry is right whichever
-side computed it.
+steps (new states, searches of subsets the memo misses, non-strict peel
+terms) does the other side get a try, under a fresh STATE_LIMIT.  The
+memo is shared between the tries, as each entry is right on either side.
 Counting linear extensions is #P-complete (Brightwell and Winkler, 1991),
-so a component that needs more than STATE_LIMIT new states on both sides
+so a component that needs more than STATE_LIMIT steps on both sides
 refuses with SizeLimitError.
 """
 
@@ -49,10 +49,10 @@ BRUTE_FORCE_LIMIT = 9
 ENUMERATION_ORDER_LIMIT = 12
 # vertices of the largest digraph a subset table takes
 MASK_VERTEX_LIMIT = 63
-# new memo states each try of a component may add: a random 63-vertex DAG
-# that needs more refuses within about 2 s and 21 MB, or 4.5 s at arc
-# probability 0.04 (2-vCPU Xeon VM, CPython 3.11)
-STATE_LIMIT = 1 << 15
+# steps each try of a component may charge (K_{10,10}'s order polynomial
+# takes 61,113); a random 63-vertex DAG refuses within 1.2 s and 22 MB, or
+# 1.7 s at arc probability 0.04 (2-vCPU Xeon VM, CPython 3.11)
+STATE_LIMIT = 1 << 16
 
 
 def _peelable(blocked: list[int], mask: int) -> int:
@@ -76,8 +76,8 @@ class _PeelTable:
     ``memo`` maps the empty set to the value a subclass passes in, and
     every connected subset visited to its value.  ``_value`` hands a
     disconnected subset and its weak components to the subclass's
-    ``_join``; a connected subset costs one state of the budget that
-    ``_try`` sets, and gets its value from the subclass's ``_peel``.
+    ``_join``, and a connected one to its ``_peel``; each search and new
+    state is one ``_charge`` against the budget that ``_try`` sets.
     A digraph of more than MASK_VERTEX_LIMIT vertices is refused.
     """
 
@@ -94,10 +94,16 @@ class _PeelTable:
         self.memo: dict = {0: empty}
 
     def _try(self, mask: int):
-        """The value of the connected mask, adding at most STATE_LIMIT
-        new states."""
+        """The value of the connected mask, in at most STATE_LIMIT steps."""
         self._left = STATE_LIMIT
         return self._value(mask, True)
+
+    def _charge(self):
+        """Spend one step of the try's budget, or refuse."""
+        self._left -= 1
+        if self._left < 0:
+            raise SizeLimitError(
+                f"counting needs more than {STATE_LIMIT} steps")
 
     def _value(self, mask: int, connected: bool = False):
         """The value of mask; ``connected`` skips the component search."""
@@ -105,13 +111,11 @@ class _PeelTable:
         if got is not None:
             return got
         if not connected:
+            self._charge()
             comps = _weak_components(self._nbr, mask)
             if len(comps) > 1:
                 return self._join(mask, comps)
-        self._left -= 1
-        if self._left < 0:
-            raise SizeLimitError(
-                f"counting needs more than {STATE_LIMIT} new subset states")
+        self._charge()
         value = self._peel(mask)
         self.memo[mask] = value
         return value
@@ -130,8 +134,7 @@ class _PeelTable:
     def _count(self, mask: int):
         """The value of mask.  Each weak component peels the side with the
         smaller layer profile, ties broken by the layer masks, and the
-        other side only if the first needs more than STATE_LIMIT new
-        states."""
+        other side only if the first needs more than STATE_LIMIT steps."""
         for comp in _weak_components(self._nbr, mask):
             # the key is [sizes, masks]
             first, second = sorted(

@@ -6,7 +6,7 @@ P the counter is Stanley's order polynomial Omega(P, i), of degree |P| in
 the size i.  ``order_polynomial`` computes its values at 0..|P| by the
 subset recursion of the strict counter (weak components split at every
 state and joined by pointwise products, peel side chosen per component,
-the same state cap) with an inclusion-exclusion over peelable subsets in
+the same budget) with an inclusion-exclusion over peelable subsets in
 place of single peels; their forward differences are its coefficients in
 the binomial basis, and every size is a value of it.  Its top coefficient
 times |P|! is the strict counter, and (-1)^|P| Omega(P, -i) counts the
@@ -27,7 +27,6 @@ from .errors import SizeLimitError
 from .graph import SimpleDigraph
 
 BRUTE_FORCE_BUDGET = 10_000_000
-CONDENSED_ORDER_LIMIT = 20
 
 
 def nonstrict_bruteforce(d: SimpleDigraph, i: int) -> int:
@@ -64,17 +63,17 @@ class NonStrictCounter(_PeelTable):
 
         Omega_S(i) = sum_{1<=j<=i} sum_T (-1)^(|T|+1) Omega_{S-T}(j),
 
-    so each state costs one signed sum of value tuples and one prefix sum.
-    Omega_S is also the order polynomial of the reversal of S, so the same
-    recurrence over sources gives the same values, and ``order_polynomial``
-    picks the side per component as ``count`` does, under the same state
-    cap.
+    so each state costs one signed sum of value tuples and one prefix sum,
+    and each of its terms one step.  Omega_S is also the order polynomial
+    of the reversal of S, so the same recurrence over sources gives the
+    same values, and ``order_polynomial`` picks the side per component as
+    ``count`` does, under the same budget.
     """
 
     def __init__(self, d: SimpleDigraph):
+        super().__init__(d, (1,) * (d.n + 1))
         if not d.is_acyclic():
             raise ValueError("NonStrictCounter needs an acyclic digraph")
-        super().__init__(d, (1,) * (d.n + 1))
 
     def _join(self, mask: int, comps: list[int]) -> tuple[int, ...]:
         values = [self._value(c, True) for c in comps]
@@ -82,11 +81,12 @@ class NonStrictCounter(_PeelTable):
 
     def _peel(self, mask: int) -> tuple[int, ...]:
         peelable = _peelable(self._blocked, mask)
-        # diff[j] is the inner sum over nonempty T at size j; the subsets T
-        # come one at a time, so a try out of states stops at once
+        # diff[j] is the inner sum over nonempty T at size j; each subset T
+        # is one step, so a try out of steps stops at once
         diff = [0] * len(self.memo[0])
         sub = peelable & -peelable
         while sub:
+            self._charge()
             add = operator.add if sub.bit_count() & 1 else operator.sub
             diff = list(map(add, diff, self._value(mask & ~sub)))
             sub = (sub - peelable) & peelable
@@ -119,9 +119,6 @@ def _scaled_values(d: SimpleDigraph, xs) -> tuple[int, list]:
     give Omega(x) = sum_k c_k C(x, k), so m! Omega(x) is the sum of
     c_k m!/k! x(x-1)...(x-k+1), by Horner's rule."""
     cond = d.condense()
-    if cond.n > CONDENSED_ORDER_LIMIT:
-        raise SizeLimitError(
-            f"condensed order {cond.n} exceeds the cap {CONDENSED_ORDER_LIMIT}")
     m = cond.n
     weights = [c * math.perm(m, m - k) for k, c in enumerate(
         forward_differences(NonStrictCounter(cond)._count((1 << m) - 1)))]

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
+from displab import counting
 from displab.algebra import (ONE, ZERO, Polynomial, binomial, laguerre,
                              monomial, multinomial, pochhammer)
 from displab.families import staircase_counter, two_row_counter
@@ -345,3 +346,19 @@ def nonstrict_empty(n: int, i: int) -> int:
     """Oracle: the arcless digraph on n vertices takes any of i values at
     each vertex, so sigma^ns_i = i^n."""
     return i**n
+
+
+def charged_steps(monkeypatch) -> list[int]:
+    """Patch the subset kernel to list the steps that each try charges,
+    STATE_LIMIT + 1 for a try that refuses."""
+    steps = []
+    try_ = counting._PeelTable._try
+
+    def spy(self, mask):
+        try:
+            return try_(self, mask)
+        finally:
+            steps.append(counting.STATE_LIMIT - self._left)
+
+    monkeypatch.setattr(counting._PeelTable, "_try", spy)
+    return steps

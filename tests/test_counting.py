@@ -19,9 +19,9 @@ from displab.families import (make_empty, make_path, make_staircase, make_star,
                               make_two_row, staircase_counter)
 from displab.graph import SimpleDigraph, iter_mask
 from displab.nonstrict import NonStrictCounter
-from helpers import (all_digraphs, disjoint_union, induced_subgraph,
-                     random_acyclic_digraph, random_simple_digraph,
-                     underlying_components)
+from helpers import (all_digraphs, charged_steps, disjoint_union,
+                     induced_subgraph, random_acyclic_digraph,
+                     random_simple_digraph, underlying_components)
 
 
 def count_by_peeling(d, sources=False):
@@ -334,14 +334,14 @@ def test_nonstrict_peels_keep_the_memo_states():
 
 
 def test_other_side_finishes_when_the_chosen_side_runs_out(monkeypatch):
-    # the layer profiles choose sinks, which need 24 states here, where
-    # sources need 15
+    # the layer profiles choose sinks, which charge 52 steps here (24 states
+    # and 28 component searches), where sources charge 27
     d = random_acyclic_digraph(random.Random(13), 9, 0.3)
     full = (1 << d.n) - 1
     table = CounterTable(d)
     assert [size for size, _ in counting._layers(table.out, full)] < [
         size for size, _ in counting._layers(table._inc, full)]
-    monkeypatch.setattr(counting, "STATE_LIMIT", 16)
+    monkeypatch.setattr(counting, "STATE_LIMIT", 32)
     with pytest.raises(SizeLimitError):
         CounterTable(d)._try(full)
     table = CounterTable(d)
@@ -367,7 +367,7 @@ def test_state_cap_refuses(tmp_path, capsys, monkeypatch):
     assert len(peeled_table(d).memo) > 64
     monkeypatch.setattr(counting, "STATE_LIMIT", 16)
     with pytest.raises(SizeLimitError,
-                       match="^counting needs more than 16 new subset states$"):
+                       match="^counting needs more than 16 steps$"):
         count(d)
     path = tmp_path / "dag.json"
     path.write_text(json.dumps(d.to_json()))
@@ -378,7 +378,38 @@ def test_state_cap_refuses(tmp_path, capsys, monkeypatch):
 
 
 def test_random_dag_of_63_vertices_refuses_at_the_state_limit():
-    # at the real STATE_LIMIT, unpatched: about 2 s and 21 MB
+    # at the real STATE_LIMIT, unpatched: about 1.2 s and 22 MB
     d = random_acyclic_digraph(random.Random(1), 63, 0.08)
     with pytest.raises(SizeLimitError):
         count(d)
+
+
+def test_sparse_dag_refuses_within_its_steps(monkeypatch):
+    # a component search on a mask the memo misses is a step, so a refusal
+    # searches at most as often as its two tries have steps
+    d = random_acyclic_digraph(random.Random(1), 63, 0.04)
+    monkeypatch.setattr(counting, "STATE_LIMIT", 1 << 10)
+    searches = []
+    search = counting._weak_components
+
+    def spy(nbr, mask):
+        searches.append(mask)
+        return search(nbr, mask)
+
+    monkeypatch.setattr(counting, "_weak_components", spy)
+    with pytest.raises(SizeLimitError,
+                       match="^counting needs more than 1024 steps$"):
+        count(d)
+    assert len(searches) <= 2 * counting.STATE_LIMIT + d.n
+
+
+@pytest.mark.parametrize("d, steps", [
+    (make_star(40), 41), (make_star(40).reverse(), 41),
+    (make_staircase(60), 5425), (make_staircase(60).reverse(), 5425),
+    (make_two_row(28, 30), 842)])
+def test_budget_margin_of_the_largest_accepted_counts(monkeypatch, d, steps):
+    # the most steps one try charges; a change that eats the margin below
+    # STATE_LIMIT fails here before an input that answers today refuses
+    tries = charged_steps(monkeypatch)
+    count(d)
+    assert max(tries) == steps < counting.STATE_LIMIT

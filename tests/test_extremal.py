@@ -69,13 +69,14 @@ def test_grid_counter_matches_count():
 
 
 def test_search_charges_each_grid_to_the_budget(monkeypatch):
-    # the first grid of order 6 is a column of 6 cells, and no grid adds
-    # more new states than that, though the search adds 285 in all
+    # the first grid of order 6 is a column of 6 cells, 6 new states, and no
+    # grid charges more steps (new states and component searches) than
+    # that, though the search adds 285 states in all
     monkeypatch.setattr(counting, "STATE_LIMIT", 6)
     assert max_counter_search(6).max_counter == staircase_counter(6)
     monkeypatch.setattr(counting, "STATE_LIMIT", 5)
     with pytest.raises(SizeLimitError,
-                       match="^counting needs more than 5 new subset states$"):
+                       match="^counting needs more than 5 steps$"):
         max_counter_search(6)
 
 

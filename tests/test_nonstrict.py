@@ -1,5 +1,6 @@
 """Non-strict counters: weak inequalities, cycles allowed."""
 
+import json
 import math
 import random
 import time
@@ -12,6 +13,7 @@ import pytest
 from displab.algebra import (binomial, bessel_i_series, exp_series, laguerre,
                              poly_to_series)
 from displab import counting
+from displab.cli import main
 from displab.counting import count
 from displab.errors import SizeLimitError
 from displab.families import (build_family, make_empty, make_path, make_star,
@@ -22,9 +24,9 @@ from displab.nonstrict import (NonStrictCounter, nonstrict_bruteforce, nonstrict
                                nonstrict_path_series,
                                nonstrict_path_series_fixed_size,
                                nonstrict_two_row, order_polynomial)
-from helpers import (disjoint_union, induced_subgraph, nonstrict_empty,
-                     random_acyclic_digraph, random_simple_digraph,
-                     underlying_components)
+from helpers import (charged_steps, disjoint_union, induced_subgraph,
+                     nonstrict_empty, random_acyclic_digraph,
+                     random_simple_digraph, underlying_components)
 
 
 def test_bruteforce_examples():
@@ -134,15 +136,90 @@ def test_loops_do_not_zero_nonstrict():
         assert nonstrict_count(SimpleDigraph(1, [(0, 0)]), i) == i
 
 
-def test_condensed_size_cap():
-    with pytest.raises(SizeLimitError):
-        nonstrict_count(make_path(21), 2)
+def _complete_bipartite(a, b):
+    return SimpleDigraph(a + b,
+                         [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def _diamond(n):
+    """Vertex 0 with an arc to each of 1..n-2, each with an arc to n-1."""
+    middle = range(1, n - 1)
+    return SimpleDigraph(n, [(0, v) for v in middle]
+                         + [(v, n - 1) for v in middle])
+
+
+def test_order_polynomial_past_twenty_vertices():
+    # orders up to the mask cap answer when their work fits the budget
+    def star(i):
+        return sum(j**62 for j in range(1, i + 1))
+
+    def k_10_10(i):
+        # t is the largest value on the sink side
+        return sum((t**10 - (t - 1)**10) * (i - t + 1)**10
+                   for t in range(1, i + 1))
+
+    for d, closed in ((make_path(63), lambda i: nonstrict_path(63, i)),
+                      (make_star(63), star), (make_star(63).reverse(), star),
+                      (make_empty(63), lambda i: nonstrict_empty(63, i)),
+                      (make_two_row(31, 32),
+                       lambda i: nonstrict_two_row(31, 32, i)),
+                      (_complete_bipartite(10, 10), k_10_10)):
+        omega = order_polynomial(d)
+        for i in (1, 2, 3, 7):
+            assert omega(i) == closed(i), (d.n, i)
+
+
+def test_cli_answers_past_twenty_vertices(capsys):
+    code = main(["nonstrict", "--family", "path:40", "--max-order", "40",
+                 "--max-size", "3"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert out.out.splitlines()[-1] == "path:40,1,41,861"
+
+
+def test_wide_diamond_refuses_within_its_steps(monkeypatch):
+    # each inclusion-exclusion term is a step, so a refusal reads at most
+    # as many values as its two tries have steps
+    d = _diamond(18)
+    monkeypatch.setattr(counting, "STATE_LIMIT", 1 << 10)
+    reads = []
+    value = counting._PeelTable._value
+
+    def spy(self, mask, connected=False):
+        reads.append(mask)
+        return value(self, mask, connected)
+
+    monkeypatch.setattr(counting._PeelTable, "_value", spy)
+    with pytest.raises(SizeLimitError,
+                       match="^counting needs more than 1024 steps$"):
+        order_polynomial(d)
+    assert len(reads) <= 2 * counting.STATE_LIMIT + d.n
+
+
+def test_cli_refuses_the_wide_diamond(tmp_path, capsys):
+    # 16 middle vertices give each state up to 2^16 - 1 terms
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(_diamond(18).to_json()))
+    code = main(["nonstrict", "--file", str(path)])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d, steps", [
+    (_complete_bipartite(10, 10), 61113),
+    (build_family("staircase:24", 24)[0], 32647)])
+def test_budget_margin_of_the_largest_accepted_order_polynomials(
+        monkeypatch, d, steps):
+    tries = charged_steps(monkeypatch)
+    order_polynomial(d)
+    assert max(tries) == steps < counting.STATE_LIMIT
 
 
 def test_long_path_refuses_in_linear_time():
     # a quadratic numbering of the components took 13-16 s at this order
     start = time.perf_counter()
-    with pytest.raises(SizeLimitError, match="condensed order 20000"):
+    with pytest.raises(SizeLimitError, match="at most 63 vertices, got 20000"):
         nonstrict_counts(make_path(20000), [1])
     assert time.perf_counter() - start < 5
 
