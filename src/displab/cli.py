@@ -66,21 +66,23 @@ def _read_digraph(path: str, max_order: int
                   ) -> tuple[SimpleDigraph, dict[str, int]]:
     """Read a digraph file, text edge list or JSON, plus its labels v1..vn.
 
-    A digraph of more than ``max_order`` vertices is refused before its
-    labels are made.
+    A text file is read one line at a time, and a digraph of more than
+    ``max_order`` vertices is refused as soon as its order is read.
     """
-    from .graph import check_order, parse_digraph_json, parse_digraph_text
+    from itertools import chain
+
+    from .graph import parse_digraph_json, parse_digraph_text
 
     path = Path(path)
     try:
-        text = path.read_text()
+        with path.open() as lines:
+            first = next((ln for ln in lines if ln.strip()), "")
+            if first.lstrip().startswith("{"):
+                d = parse_digraph_json(first + lines.read(), max_order)
+            else:
+                d = parse_digraph_text(chain([first], lines), max_order)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        d = parse_digraph_json(text)
-    else:
-        d = parse_digraph_text(text)
-    check_order(d.n, max_order)
     return d, {f"v{i + 1}": i for i in range(d.n)}
 
 

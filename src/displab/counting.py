@@ -31,7 +31,9 @@ the one with the smaller sequence of layer masks, so that a digraph and
 its reversal peel mirrored sides.  Only if it needs more than STATE_LIMIT
 steps (new states, searches of subsets the memo misses, non-strict peel
 terms) does the other side get a try, under a fresh STATE_LIMIT.  The
-memo is shared between the tries, as each entry is right on either side.
+memo is shared between the tries, as each entry is right on either side,
+and ``_value`` is its only reader.  ``_count`` splits its input once and
+joins the components outside any try, at no step.
 Counting linear extensions is #P-complete (Brightwell and Winkler, 1991),
 so a component that needs more than STATE_LIMIT steps on both sides
 refuses with SizeLimitError.
@@ -135,7 +137,8 @@ class _PeelTable:
         """The value of mask.  Each weak component peels the side with the
         smaller layer profile, ties broken by the layer masks, and the
         other side only if the first needs more than STATE_LIMIT steps."""
-        for comp in _weak_components(self._nbr, mask):
+        comps = _weak_components(self._nbr, mask)
+        for comp in comps:
             # the key is [sizes, masks]
             first, second = sorted(
                 (self.out, self._inc),
@@ -146,7 +149,7 @@ class _PeelTable:
             except SizeLimitError:
                 self._blocked = second
                 self._try(comp)
-        return self._value(mask)
+        return self._join(mask, comps) if len(comps) > 1 else self.memo[mask]
 
 
 class CounterTable(_PeelTable):

@@ -15,7 +15,8 @@ subset kernel of ``counting`` (``_PeelTable``), under its state budget.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from operator import add, lshift
 from typing import Iterator, NamedTuple
 
 from . import counting
@@ -85,16 +86,14 @@ def _row_grids(m: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
     _check_order(m)
     step = m + 1
     for lengths in _compositions(m):
+        runs = [(1 << a) - 1 for a in lengths]
+        steps = [0] + [step] * (len(lengths) - 1)
         windows = [range(1 - lengths[i], lengths[i - 1])
                    for i in range(1, len(lengths))]
-        for shifts in product(*windows):
-            shifts = (0,) + shifts
-            cells = 0
-            start = 0
-            for r, (a, b) in enumerate(zip(lengths, shifts)):
-                start += b
-                cells |= ((1 << a) - 1) << (r * step + start)
-            yield tuple(zip(lengths, shifts)), cells
+        for shifts in product((0,), *windows):
+            # row r is a run of ones from bit r*(m+1) + b_0 + ... + b_r
+            yield tuple(zip(lengths, shifts)), sum(
+                map(lshift, runs, accumulate(map(add, shifts, steps))))
 
 
 class _GridCounter(counting.CounterTable):
@@ -122,21 +121,16 @@ class _GridCounter(counting.CounterTable):
         # mask holds bit 0, a cell with no neighbour left of it or above
         # it; so it is a sink only when alone, and every child holds bit 0
         # too, or is empty, and needs no shift
-        step, memo = self.step, self.memo
-        total = 0
+        step = self.step
         sinks = mask & ~(mask >> 1) & ~(mask >> step)
+        # deleting a sink may split the set only when the cells left of it
+        # and above it are both in the set, and the cell above-left is not
+        split = sinks & (mask << 1) & (mask << step) & ~(mask << step + 1)
+        total = 0
         while sinks:
             low = sinks & -sinks
             sinks ^= low
-            rest = mask ^ low
-            got = memo.get(rest)
-            if got is None:
-                # the set stays connected when the sink had one neighbour,
-                # or two (left and above) joined by the cell above-left
-                near = rest & (low >> 1 | low >> step)
-                got = self._value(rest, not near & (near - 1)
-                                  or rest & low >> step + 1)
-            total += got
+            total += self._value(mask ^ low, not low & split)
         return total
 
 

@@ -242,10 +242,9 @@ def build_family(text: str, max_order: int
             d = make_qary_level(q, level)
             return d, _index_labels(d.n)
         if name == "tree":
-            # the parent array is as long as the text, so build, then check
             parents = [_decimal(x) for x in arg.split(",")]
+            check_order(len(parents), max_order)
             d = make_rooted_tree(parents)
-            check_order(d.n, max_order)
             return d, _index_labels(d.n)
         if name == "dispositional":
             rows = []

@@ -192,25 +192,33 @@ def _strong_components(d: SimpleDigraph) -> list[int]:
 # parsing
 # ---------------------------------------------------------------------------
 
-def parse_digraph_text(text: str) -> SimpleDigraph:
+def parse_digraph_text(text, max_order: int) -> SimpleDigraph:
     """Text format: first line "n <count>", then one arc "u v" per line.
 
+    ``text`` is a string or an iterable of lines, such as an open file,
+    which is read one line at a time: only the set of arcs is kept, and a
+    count above ``max_order`` is refused before any arc line is read.
     Duplicate lines collapse into one arc, which never changes a counter.
     Blank lines and lines starting with '#' are ignored.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    # a file's line may still hold separators that str.splitlines breaks
+    # at, such as form feeds, so a file splits as its whole text would
+    lines = (ln.strip() for raw in ([text] if isinstance(text, str) else text)
+             for ln in raw.splitlines())
+    lines = (ln for ln in lines if ln and not ln.startswith("#"))
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty digraph description")
-    head = lines[0].split()
+    head = first.split()
     if len(head) != 2 or head[0] != "n":
-        raise ParseError(f'first line must be "n <count>", got {lines[0]!r}')
+        raise ParseError(f'first line must be "n <count>", got {first!r}')
     try:
         n = _decimal(head[1])
     except ValueError as exc:
         raise ParseError(f"bad vertex count {head[1]!r}") from exc
-    arcs = []
-    for ln in lines[1:]:
+    check_order(n, max_order)
+    arcs = set()
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"bad arc line {ln!r}")
@@ -220,15 +228,16 @@ def parse_digraph_text(text: str) -> SimpleDigraph:
             raise ParseError(f"bad arc line {ln!r}") from exc
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"arc ({u},{v}) out of range for n={n}")
-        arcs.append((u, v))
+        arcs.add((u, v))
     return SimpleDigraph(n, arcs)
 
 
-def parse_digraph_json(data) -> SimpleDigraph:
+def parse_digraph_json(data, max_order: int) -> SimpleDigraph:
     """JSON format: {"n": int, "arcs": [[u, v], ...]}, with "arcs" optional.
 
     "n" and every endpoint must be JSON integers (not booleans), and every
-    arc a two-element array.  Repeated arcs collapse into one.
+    arc a two-element array.  Repeated arcs collapse into one.  An "n"
+    above ``max_order`` is refused before the arcs are looked at.
     """
     if isinstance(data, (str, bytes)):
         import json
@@ -242,6 +251,7 @@ def parse_digraph_json(data) -> SimpleDigraph:
     n, arcs = data["n"], data.get("arcs", [])
     if type(n) is not int:
         raise ParseError(f'bad digraph JSON: "n" must be an integer, got {n!r}')
+    check_order(n, max_order)
     if not isinstance(arcs, list):
         raise ParseError(f'bad digraph JSON: "arcs" must be a list, got {arcs!r}')
     for arc in arcs:

@@ -42,7 +42,7 @@ class Ode2:
     def __init__(self, u: Polynomial, v: Polynomial, w: Polynomial):
         if u.is_zero() and v.is_zero() and w.is_zero():
             raise ValueError("U, V, W cannot all be zero")
-        g = _triple_gcd(u, v, w)
+        g = u.gcd(v).gcd(w)
         if g.degree > 0:
             u = u.divmod(g)[0]
             v = v.divmod(g)[0]
@@ -92,13 +92,6 @@ class Ode2:
         else:
             out += f" + {wrap(self.w)}Y"
         return out + " = 0"
-
-
-def _triple_gcd(u, v, w) -> Polynomial:
-    g = ZERO
-    for p in (u, v, w):
-        g = p if g.is_zero() else g.gcd(p)
-    return g
 
 
 def laguerre_equation(n: int) -> Ode2:

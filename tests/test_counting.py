@@ -18,7 +18,7 @@ from displab.errors import SizeLimitError
 from displab.families import (make_empty, make_path, make_staircase, make_star,
                               make_two_row, staircase_counter)
 from displab.graph import SimpleDigraph, iter_mask
-from displab.nonstrict import NonStrictCounter
+from displab.nonstrict import NonStrictCounter, order_polynomial
 from helpers import (all_digraphs, charged_steps, disjoint_union,
                      induced_subgraph, random_acyclic_digraph,
                      random_simple_digraph, underlying_components)
@@ -347,6 +347,40 @@ def test_other_side_finishes_when_the_chosen_side_runs_out(monkeypatch):
     table = CounterTable(d)
     assert table._count(full) == count_bruteforce(d)
     assert table._blocked is table._inc
+
+
+@pytest.mark.parametrize("counter, steps", [
+    (count, 77), (lambda d: height_counts(d, d.n - 12), 77),
+    (order_polynomial, 466)])
+def test_components_join_at_no_step(monkeypatch, counter, steps):
+    # staircase:12 answers in exactly `steps` steps, and neither side in
+    # fewer; joining it to an isolated vertex after its try spends none
+    stair = make_staircase(12)
+    both = disjoint_union(make_path(1), stair)
+    expected = counter(both)
+    monkeypatch.setattr(counting, "STATE_LIMIT", steps - 1)
+    with pytest.raises(SizeLimitError):
+        counter(stair)
+    monkeypatch.setattr(counting, "STATE_LIMIT", steps)
+    counter(stair)
+    assert counter(both) == expected
+
+
+@pytest.mark.parametrize("table", [CounterTable, NonStrictCounter,
+                                   lambda d: _HeightTable(d, 3)])
+def test_count_searches_its_input_once(monkeypatch, table):
+    d = disjoint_union(make_staircase(5), make_path(1), make_star(4))
+    full = (1 << d.n) - 1
+    searches = []
+    search = counting._weak_components
+
+    def spy(nbr, mask):
+        searches.append(mask)
+        return search(nbr, mask)
+
+    monkeypatch.setattr(counting, "_weak_components", spy)
+    table(d)._count(full)
+    assert searches.count(full) == 1
 
 
 def test_reversal_mirrors_the_peel():

@@ -1,19 +1,21 @@
 """Search over connected row-grid digraphs and the zigzag extremality."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from displab import counting
 from displab.counting import count
 from displab.errors import SizeLimitError
-from displab.extremal import (_GridCounter, _row_grids,
+from displab.extremal import (SEARCH_ORDER_LIMIT, _GridCounter, _row_grids,
                               enumerate_connected_dispositional, iso_check,
                               max_counter_search)
 from displab.families import (DispositionalSpec, make_dispositional,
                               make_empty, make_path, make_staircase, make_star,
                               staircase_counter, staircase_spec)
-from helpers import random_simple_digraph, underlying_components
+from helpers import (charged_steps, random_simple_digraph,
+                     underlying_components)
 
 
 def test_enumerate_order_one():
@@ -78,6 +80,37 @@ def test_search_charges_each_grid_to_the_budget(monkeypatch):
     with pytest.raises(SizeLimitError,
                        match="^counting needs more than 5 steps$"):
         max_counter_search(6)
+
+
+def test_worst_accepted_search_keeps_its_states_and_steps(monkeypatch):
+    # the search at its order cap: one grid memo of 96,565 states, and no
+    # grid charges more than 15 of STATE_LIMIT's steps
+    tries = charged_steps(monkeypatch)
+    grids = []
+    init = _GridCounter.__init__
+
+    def spy(self, m):
+        init(self, m)
+        grids.append(self)
+
+    monkeypatch.setattr(_GridCounter, "__init__", spy)
+    report = max_counter_search(SEARCH_ORDER_LIMIT)
+    assert report.max_counter == staircase_counter(SEARCH_ORDER_LIMIT)
+    (grid,) = grids
+    assert len(grid.memo) - 1 == 96565
+    assert len(tries) == report.total_enumerated == 66441
+    assert max(tries) == 15
+
+
+def test_search_memory_stays_bounded():
+    # 2.85 MB traced at order 10 (30,124 grid-memo states), CPython 3.11
+    tracemalloc.start()
+    try:
+        max_counter_search(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def _cells(spec):

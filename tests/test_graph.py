@@ -1,11 +1,12 @@
 """Structural digraph queries."""
 
 import random
+import tracemalloc
 
 import pytest
 
 import displab
-from displab.cli import main
+from displab.cli import _read_digraph, main
 from displab.errors import ParseError
 from displab.families import make_empty, make_path, make_staircase
 from displab.graph import (SimpleDigraph, iter_mask,
@@ -16,17 +17,17 @@ from helpers import (attach_path, induced_subgraph, mask_from,
 
 
 def test_parse_text_collapses_repeated_lines():
-    d = parse_digraph_text("n 2\n0 1\n0 1\n0 1\n")
+    d = parse_digraph_text("n 2\n0 1\n0 1\n0 1\n", 20)
     assert d.arcs == frozenset({(0, 1)})
 
 
 def test_parse_json_keeps_loop_as_arc():
-    d = parse_digraph_json('{"n": 1, "arcs": [[0, 0], [0, 0]]}')
+    d = parse_digraph_json('{"n": 1, "arcs": [[0, 0], [0, 0]]}', 20)
     assert d == SimpleDigraph(1, [(0, 0)])
 
 
 def test_parse_text_header_alone_is_empty():
-    assert parse_digraph_text("n 3\n") == make_empty(3)
+    assert parse_digraph_text("n 3\n", 20) == make_empty(3)
 
 
 def test_reverse_path():
@@ -196,13 +197,13 @@ def test_staircase6_acyclic_by_independent_toposort():
 
 
 def test_parse_text_roundtrip():
-    d = parse_digraph_text("n 3\n0 1\n0 1\n1 2\n")
+    d = parse_digraph_text("n 3\n0 1\n0 1\n1 2\n", 20)
     assert d == make_path(3)
 
 
 def test_parse_text_rejects_out_of_range():
     with pytest.raises(ParseError):
-        parse_digraph_text("n 2\n0 5\n")
+        parse_digraph_text("n 2\n0 5\n", 20)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -242,11 +243,11 @@ def test_simple_digraph_is_the_only_digraph_type(name):
 
 
 def test_parse_json():
-    assert parse_digraph_json('{"n": 2, "arcs": [[0, 1]]}') == make_path(2)
+    assert parse_digraph_json('{"n": 2, "arcs": [[0, 1]]}', 20) == make_path(2)
     with pytest.raises(ParseError):
-        parse_digraph_json('{"n": 1, "arcs": [[0, 3]]}')
+        parse_digraph_json('{"n": 1, "arcs": [[0, 3]]}', 20)
     with pytest.raises(ParseError):
-        parse_digraph_json("[1, 2]")
+        parse_digraph_json("[1, 2]", 20)
 
 
 @pytest.mark.parametrize("text", [
@@ -282,6 +283,47 @@ def test_json_file_keeps_its_range_messages(tmp_path, capsys, text, message):
     path.write_text(text)
     assert main(["count", "--file", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name, text, tree", [
+    ("digraph.txt", "n 5000\n0 1\nnot an arc\n", "0,0,0"),
+    ("digraph.json", '{"n": 5000, "arcs": "01"}', "-1,5,0"),
+    ("digraph.json", '{"n": 5000, "arcs": [[0, 1], [2]]}', "-1,-1,0"),
+])
+def test_order_cap_comes_before_a_later_malformed_part(tmp_path, capsys,
+                                                       name, text, tree):
+    # the order is read first and decides the refusal: exit 1, not the
+    # exit 2 that the malformed rest would give under the cap
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["count", "--file", str(path), "--max-order", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: digraph order 5000 exceeds --max-order 2\n")
+    assert main(["count", "--family", f"tree:{tree}", "--max-order", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: digraph order 3 exceeds --max-order 2\n")
+
+
+def _peak_reading(path) -> int:
+    tracemalloc.start()
+    try:
+        assert _read_digraph(str(path), 20)[0].n == 20
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_text_file_is_read_in_memory_of_its_digraph(tmp_path):
+    # the arcs of a 20-vertex digraph are at most 400, however many lines
+    # repeat them, so ten times the lines may not double the peak
+    rng = random.Random(24)
+    arcs = [f"{u} {v}\n" for v in range(20) for u in range(v)]
+    peaks = []
+    for lines in (20_000, 200_000):
+        path = tmp_path / f"arcs{lines}.txt"
+        path.write_text("n 20\n" + "".join(rng.choices(arcs, k=lines)))
+        peaks.append(_peak_reading(path))
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def test_structural_properties_random_corpus():
